@@ -11,14 +11,15 @@ from __future__ import annotations
 import os
 import subprocess
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 try:  # CI benchmark jobs install only numpy; the fixture below is optional.
     import pytest
 except ImportError:  # pragma: no cover - exercised on minimal installs
     pytest = None
 
-from repro.utils.config import PredictorConfig, SearchConfig, TrainingConfig
+from repro.experiments import ExperimentSpec, SearchSpec
+from repro.utils.config import PredictorConfig, TrainingConfig
 from repro.utils.serialization import to_json_file
 
 #: Fraction of the miniature-profile size used by default in benches.
@@ -93,18 +94,21 @@ def bench_training_config(**overrides) -> TrainingConfig:
     return TrainingConfig(**settings)
 
 
-def bench_search_config(**overrides) -> SearchConfig:
-    """The shared search configuration (a scaled-down Alg. 2)."""
-    settings = dict(
-        max_blocks=6,
-        candidates_per_step=16,
-        top_parents=5,
-        train_per_step=4,
-        predictor=PredictorConfig(epochs=150),
+def bench_search_spec(predictor: Optional[PredictorConfig] = None, **search) -> ExperimentSpec:
+    """The shared search spec: a scaled-down Alg. 2 unless ``search`` overrides it.
+
+    ``search`` sets fields of the spec's search section (e.g.
+    ``strategy="random"`` or ``use_filter=False``); ``predictor`` replaces
+    the predictor section.
+    """
+    settings = dict(max_blocks=6, candidates_per_step=16, top_parents=5, train_per_step=4)
+    settings.update(search)
+    return ExperimentSpec(
+        name="bench",
         seed=0,
+        search=SearchSpec(**settings),
+        predictor=predictor if predictor is not None else PredictorConfig(epochs=150),
     )
-    settings.update(overrides)
-    return SearchConfig(**settings)
 
 
 def publish(name: str, text: str) -> None:

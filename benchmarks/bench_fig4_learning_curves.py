@@ -9,11 +9,11 @@ FB15k-237) by evaluating every model periodically during training.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_series
-from repro.core import AutoSFSearch
 from repro.datasets import load_benchmark
+from repro.experiments import SearchLoop
 from repro.kge import KGEModel
 from repro.kge.scoring import BlockScoringFunction, get_scoring_function
 
@@ -39,8 +39,9 @@ def build_report() -> str:
         curves = {}
         for model_name in BASELINES:
             curves[model_name] = training_curve(graph, get_scoring_function(model_name), training_config)
-        search = AutoSFSearch(graph, training_config, bench_search_config())
-        result = search.run(max_evaluations=SEARCH_BUDGET)
+        result = SearchLoop.from_spec(
+            bench_search_spec(), graph, training_config=training_config
+        ).run(max_evaluations=SEARCH_BUDGET)
         curves["autosf"] = training_curve(
             graph, BlockScoringFunction(result.best_structure), training_config
         )

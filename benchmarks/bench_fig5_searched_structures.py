@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import CaseStudy
-from repro.core import AutoSFSearch, are_equivalent
+from repro.core import are_equivalent
 from repro.datasets import available_benchmarks, dataset_statistics, load_benchmark
+from repro.experiments import SearchLoop
 
 SEARCH_BUDGET = 9
 
@@ -27,8 +28,9 @@ def build_report() -> str:
     sections = []
     for benchmark_name in available_benchmarks():
         graph = load_benchmark(benchmark_name, scale=BENCH_SCALE)
-        search = AutoSFSearch(graph, training_config, bench_search_config())
-        result = search.run(max_evaluations=SEARCH_BUDGET)
+        result = SearchLoop.from_spec(
+            bench_search_spec(), graph, training_config=training_config
+        ).run(max_evaluations=SEARCH_BUDGET)
         study = CaseStudy(
             benchmark_name, result.best_structure, result.best_mrr, dataset_statistics(graph)
         )

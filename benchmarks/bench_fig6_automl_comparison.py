@@ -11,12 +11,13 @@ structures are never trained twice and the budgets are directly comparable.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_series
-from repro.core import AutoSFSearch, BayesSearch, CandidateEvaluator, RandomSearch
+from repro.core import CandidateEvaluator
 from repro.core.baselines import general_approximator_baseline
 from repro.datasets import load_benchmark
+from repro.experiments import SearchLoop
 
 DATASETS = ("wn18rr", "fb15k237")
 BUDGET = 10
@@ -27,18 +28,22 @@ def build_report() -> str:
     sections = []
     for benchmark_name in DATASETS:
         graph = load_benchmark(benchmark_name, scale=BENCH_SCALE)
-        autosf = AutoSFSearch(
+        autosf = SearchLoop.from_spec(
+            bench_search_spec(),
             graph,
-            training_config,
-            bench_search_config(),
+            training_config=training_config,
             evaluator=CandidateEvaluator(graph, training_config),
         ).run(max_evaluations=BUDGET)
-        random_search = RandomSearch(graph, training_config, num_blocks=6, seed=0).run(
-            max_evaluations=BUDGET
-        )
-        bayes_search = BayesSearch(graph, training_config, num_blocks=6, pool_size=24, seed=0).run(
-            max_evaluations=BUDGET
-        )
+        random_search = SearchLoop.from_spec(
+            bench_search_spec(strategy="random", num_blocks=6),
+            graph,
+            training_config=training_config,
+        ).run(max_evaluations=BUDGET)
+        bayes_search = SearchLoop.from_spec(
+            bench_search_spec(strategy="bayes", num_blocks=6, pool_size=24),
+            graph,
+            training_config=training_config,
+        ).run(max_evaluations=BUDGET)
         mlp_mrr = general_approximator_baseline(graph, training_config)
         curves = {
             "autosf": autosf.anytime_curve(),

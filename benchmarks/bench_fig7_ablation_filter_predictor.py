@@ -9,11 +9,12 @@ curve of the full algorithm dominates.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_series
-from repro.core import AutoSFSearch, CandidateEvaluator
+from repro.core import CandidateEvaluator
 from repro.datasets import load_benchmark
+from repro.experiments import SearchLoop
 
 DATASETS = ("wn18rr", "fb15k237")
 BUDGET = 9
@@ -36,10 +37,12 @@ def build_report() -> str:
         evaluator = CandidateEvaluator(graph, training_config)
         curves = {}
         for variant_name, switches in VARIANTS.items():
-            config = bench_search_config(**switches)
-            result = AutoSFSearch(graph, training_config, config, evaluator=evaluator).run(
-                max_evaluations=BUDGET
-            )
+            result = SearchLoop.from_spec(
+                bench_search_spec(**switches),
+                graph,
+                training_config=training_config,
+                evaluator=evaluator,
+            ).run(max_evaluations=BUDGET)
             curves[variant_name] = result.anytime_curve()
         sections.append(
             format_series(

@@ -9,11 +9,12 @@ predictor finds good candidates sooner.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_series
-from repro.core import AutoSFSearch, CandidateEvaluator
+from repro.core import CandidateEvaluator
 from repro.datasets import load_benchmark
+from repro.experiments import SearchLoop
 from repro.utils.config import PredictorConfig
 
 DATASETS = ("wn18rr", "fb15k237")
@@ -35,12 +36,12 @@ def build_report() -> str:
         curves = {}
         for variant_name, predictor_config in VARIANTS.items():
             if predictor_config is None:
-                config = bench_search_config(use_predictor=False)
+                spec = bench_search_spec(use_predictor=False)
             else:
-                config = bench_search_config(predictor=predictor_config)
-            result = AutoSFSearch(graph, training_config, config, evaluator=evaluator).run(
-                max_evaluations=BUDGET
-            )
+                spec = bench_search_spec(predictor=predictor_config)
+            result = SearchLoop.from_spec(
+                spec, graph, training_config=training_config, evaluator=evaluator
+            ).run(max_evaluations=BUDGET)
             curves[variant_name] = result.anytime_curve()
         sections.append(
             format_series(

@@ -8,11 +8,12 @@ The bench sweeps scaled-down values of both knobs on WN18RR.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_series
-from repro.core import AutoSFSearch, CandidateEvaluator
+from repro.core import CandidateEvaluator
 from repro.datasets import load_benchmark
+from repro.experiments import SearchLoop
 
 BUDGET = 9
 
@@ -32,10 +33,12 @@ def build_report() -> str:
     evaluator = CandidateEvaluator(graph, training_config)
     curves = {}
     for name, overrides in SETTINGS.items():
-        config = bench_search_config(**overrides)
-        result = AutoSFSearch(graph, training_config, config, evaluator=evaluator).run(
-            max_evaluations=BUDGET
-        )
+        result = SearchLoop.from_spec(
+            bench_search_spec(**overrides),
+            graph,
+            training_config=training_config,
+            evaluator=evaluator,
+        ).run(max_evaluations=BUDGET)
         curves[name] = result.anytime_curve()
     return format_series(
         curves,

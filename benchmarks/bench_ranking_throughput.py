@@ -24,9 +24,10 @@ from __future__ import annotations
 import argparse
 import os
 import time
+from dataclasses import replace
 
 from _helpers import (
-    bench_search_config,
+    bench_search_spec,
     bench_training_config,
     publish,
     write_bench_summary,
@@ -34,8 +35,8 @@ from _helpers import (
 )
 
 from repro.analysis import format_table
-from repro.core import AutoSFSearch, ProcessPoolBackend, SerialBackend
 from repro.datasets import load_benchmark
+from repro.experiments import BackendSpec, SearchLoop
 from repro.kge.evaluation import compute_ranks, compute_ranks_reference
 from repro.kge.scoring.bilinear import BlockScoringFunction
 from repro.kge.scoring.blocks import classical_structure
@@ -89,17 +90,19 @@ def measure_ranking(repeats: int = 3) -> dict:
 def measure_search_wall_clock(budget: int = SEARCH_BUDGET) -> dict:
     graph = load_benchmark(LARGEST_BENCHMARK)
     training_config = bench_training_config(epochs=4)
-    search_config = bench_search_config()
+    spec = bench_search_spec()
 
     start = time.perf_counter()
-    serial = AutoSFSearch(graph, training_config, search_config, backend=SerialBackend()).run(
+    serial = SearchLoop.from_spec(spec, graph, training_config=training_config).run(
         max_evaluations=budget
     )
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = AutoSFSearch(
-        graph, training_config, search_config, backend=ProcessPoolBackend(NUM_WORKERS)
+    parallel = SearchLoop.from_spec(
+        replace(spec, backend=BackendSpec(backend="process", num_workers=NUM_WORKERS)),
+        graph,
+        training_config=training_config,
     ).run(max_evaluations=budget)
     parallel_seconds = time.perf_counter() - start
 

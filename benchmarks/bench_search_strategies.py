@@ -87,13 +87,7 @@ def build_spec(strategy: str, budget: int, scale: float) -> ExperimentSpec:
 
 
 def run_strategy(graph, spec, training_config, store) -> dict:
-    loop = SearchLoop(
-        graph,
-        create_strategy(spec),
-        training_config,
-        seed=spec.seed,
-        store=store,
-    )
+    loop = SearchLoop.from_spec(spec, graph, training_config=training_config, store=store)
     start = time.perf_counter()
     result = loop.run(max_evaluations=spec.search.budget)
     elapsed = time.perf_counter() - start

@@ -11,11 +11,11 @@ lag on datasets rich in anti-symmetric/inverse relations.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_table
-from repro.core import AutoSFSearch
 from repro.datasets import available_benchmarks, load_benchmark
+from repro.experiments import SearchLoop
 from repro.kge import train_model
 
 #: Paper-reported test MRR (Table IV) for the re-implemented models.
@@ -48,8 +48,9 @@ def run_dataset(benchmark_name: str) -> list:
                 "mrr_paper": PAPER_MRR[benchmark_name][model_name],
             }
         )
-    search = AutoSFSearch(graph, training_config, bench_search_config())
-    search_result = search.run(max_evaluations=SEARCH_BUDGET)
+    search_result = SearchLoop.from_spec(
+        bench_search_spec(), graph, training_config=training_config
+    ).run(max_evaluations=SEARCH_BUDGET)
     # The paper re-trains the searched SF before the final comparison; at
     # miniature scale retraining noise matters, so the top few searched
     # structures are retrained and the final pick is made on validation MRR.

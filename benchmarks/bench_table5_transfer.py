@@ -9,11 +9,11 @@ demonstrating that the searched SFs are KG-dependent.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_table, transfer_matrix
-from repro.core import AutoSFSearch
 from repro.datasets import available_benchmarks, load_benchmark
+from repro.experiments import SearchLoop
 
 #: Paper-reported Table V diagonal (MRR of each dataset's own searched SF).
 PAPER_DIAGONAL = {"wn18": 0.952, "fb15k": 0.853, "wn18rr": 0.490, "fb15k237": 0.360, "yago310": 0.571}
@@ -26,8 +26,9 @@ def build_table() -> str:
     graphs, structures = {}, {}
     for benchmark_name in available_benchmarks():
         graph = load_benchmark(benchmark_name, scale=BENCH_SCALE)
-        search = AutoSFSearch(graph, training_config, bench_search_config())
-        result = search.run(max_evaluations=SEARCH_BUDGET)
+        result = SearchLoop.from_spec(
+            bench_search_spec(), graph, training_config=training_config
+        ).run(max_evaluations=SEARCH_BUDGET)
         graphs[benchmark_name] = graph
         structures[benchmark_name] = result.best_structure
 

@@ -9,11 +9,11 @@ same generated negative sets so the comparison is paired.
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_table
-from repro.core import AutoSFSearch
 from repro.datasets import load_benchmark
+from repro.experiments import SearchLoop
 from repro.kge import train_model
 from repro.kge.evaluation import evaluate_triplet_classification, generate_classification_negatives
 
@@ -54,8 +54,9 @@ def build_table() -> str:
                     "accuracy_paper_%": PAPER_ACCURACY[benchmark_name][model_name],
                 }
             )
-        search = AutoSFSearch(graph, training_config, bench_search_config())
-        result = search.run(max_evaluations=SEARCH_BUDGET)
+        result = SearchLoop.from_spec(
+            bench_search_spec(), graph, training_config=training_config
+        ).run(max_evaluations=SEARCH_BUDGET)
         model = train_model(graph, result.best_structure, training_config)
         rows.append(
             {

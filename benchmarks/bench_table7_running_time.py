@@ -10,11 +10,11 @@ miniatures are far smaller than the real datasets).
 
 from __future__ import annotations
 
-from _helpers import BENCH_SCALE, bench_search_config, bench_training_config, publish
+from _helpers import BENCH_SCALE, bench_search_spec, bench_training_config, publish
 
 from repro.analysis import format_table
-from repro.core import AutoSFSearch
 from repro.datasets import available_benchmarks, load_benchmark
+from repro.experiments import SearchLoop
 
 #: Paper-reported per-step times in minutes (filter, predictor, train, evaluate).
 PAPER_MINUTES = {
@@ -32,9 +32,11 @@ def build_table() -> str:
     rows = []
     for benchmark_name in available_benchmarks():
         graph = load_benchmark(benchmark_name, scale=BENCH_SCALE)
-        search = AutoSFSearch(graph, bench_training_config(), bench_search_config())
-        search.run(max_evaluations=SEARCH_BUDGET)
-        summary = search.timing.summary()
+        loop = SearchLoop.from_spec(
+            bench_search_spec(), graph, training_config=bench_training_config()
+        )
+        loop.run(max_evaluations=SEARCH_BUDGET)
+        summary = loop.timing.summary()
         paper = PAPER_MINUTES[benchmark_name]
         measured_train = summary.get("train", {}).get("total", 0.0)
         rows.append(

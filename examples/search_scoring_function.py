@@ -17,32 +17,27 @@ from __future__ import annotations
 import sys
 
 from repro.analysis import CaseStudy
-from repro.core import AutoSFSearch
-from repro.datasets import dataset_statistics, load_benchmark
+from repro.datasets import dataset_statistics
+from repro.experiments import DatasetSpec, ExperimentSpec, SearchLoop, SearchSpec
 from repro.kge import train_model
-from repro.utils.config import PredictorConfig, SearchConfig, TrainingConfig
+from repro.utils.config import PredictorConfig, TrainingConfig
 
 
 def main(benchmark: str = "wn18rr") -> None:
-    graph = load_benchmark(benchmark, scale=0.5)
+    spec = ExperimentSpec(
+        name=f"search-{benchmark}",
+        seed=0,
+        dataset=DatasetSpec(benchmark=benchmark, scale=0.5),
+        training=TrainingConfig(dimension=16, epochs=20, batch_size=256, learning_rate=0.5, seed=0),
+        search=SearchSpec(max_blocks=6, candidates_per_step=24, top_parents=5, train_per_step=6),
+        predictor=PredictorConfig(epochs=200),
+    )
+    graph = spec.dataset.load()
     statistics = dataset_statistics(graph)
     print(f"searching a scoring function for {graph}")
     print("relation-pattern mix:", statistics.as_row())
 
-    training_config = TrainingConfig(
-        dimension=16, epochs=20, batch_size=256, learning_rate=0.5, seed=0
-    )
-    search_config = SearchConfig(
-        max_blocks=6,
-        candidates_per_step=24,
-        top_parents=5,
-        train_per_step=6,
-        predictor=PredictorConfig(epochs=200),
-        seed=0,
-    )
-
-    search = AutoSFSearch(graph, training_config, search_config)
-    result = search.run()
+    result = SearchLoop.from_spec(spec, graph).run(max_evaluations=spec.search.budget)
 
     print(f"\ntrained {result.num_evaluations} candidate scoring functions")
     print("any-time best validation MRR:",
@@ -56,7 +51,7 @@ def main(benchmark: str = "wn18rr") -> None:
 
     # Retrain the winner with a larger dimension (the paper's fine-tune step)
     # and report the held-out test metrics.
-    final_config = training_config.replace(dimension=32, epochs=40)
+    final_config = spec.training.replace(dimension=32, epochs=40)
     model = train_model(graph, result.best_structure, final_config)
     test_result = model.evaluate(graph, split="test")
     print(f"\nfinal test metrics at d={final_config.dimension}: "

@@ -21,7 +21,7 @@ The package is organized in four layers:
 
 from repro.datasets import KnowledgeGraph, load_benchmark
 from repro.kge import KGEModel, train_model
-from repro.utils.config import ConfigError, PredictorConfig, SearchConfig, TrainingConfig
+from repro.utils.config import ConfigError, PredictorConfig, TrainingConfig
 
 __version__ = "1.0.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "train_model",
     "ConfigError",
     "PredictorConfig",
-    "SearchConfig",
     "TrainingConfig",
     "__version__",
 ]

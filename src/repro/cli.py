@@ -28,11 +28,14 @@ The subcommands cover the common workflows without writing any Python:
   together with entity/relation counts and the dataset's vocabulary, so it
   reloads standalone;
 * ``repro-autosf search`` — run the progressive greedy search and print the
-  case study of the best structure found.  Candidate training can be fanned
-  out over worker processes (``--backend process --workers N``) and
-  checkpointed to a persistent evaluation store (``--cache-dir DIR``); an
-  interrupted or finished run restarts deterministically from its store with
-  ``--resume DIR``, retraining nothing that already completed;
+  case study of the best structure found.  The flags become an
+  ``ExperimentSpec`` (greedy strategy); candidate training can be fanned out
+  over worker processes (``--backend process --workers N``), and with
+  ``--cache-dir DIR`` the search checkpoints that spec as ``DIR/spec.json``
+  beside its persistent evaluation store.  An interrupted or finished run
+  restarts deterministically with ``--resume DIR``, retraining nothing that
+  already completed, and ``repro-autosf run DIR/spec.json --run-dir DIR``
+  turns the checkpoint into a full run directory from the same store;
 * ``repro-autosf export`` — package a saved model (``--model DIR``) or the
   best model of an experiment run (``--run DIR``) as a versioned serving
   artifact (manifest + params + vocab, optionally with eval metrics);
@@ -60,23 +63,27 @@ use the same engine as in-process runs.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from repro.analysis import CaseStudy, format_run_comparison, format_table
-from repro.core import AutoSFSearch
 from repro.core.execution import BACKEND_NAMES
+from repro.core.store import EvaluationStore
 from repro.datasets import DatasetError, available_benchmarks, dataset_statistics
 from repro.datasets.knowledge_graph import KnowledgeGraph
 from repro.datasets.pipeline import DEFAULT_SHARD_SIZE, TripleStore, ingest_tsv
 from repro.experiments import (
+    BackendSpec,
     DatasetSpec,
     ExperimentRunner,
     ExperimentSpec,
     RunDirectoryError,
+    SearchLoop,
+    SearchSpec,
     load_run,
 )
-from repro.experiments.runner import BEST_DIRNAME, TRACE_DIRNAME
+from repro.experiments.runner import BEST_DIRNAME, SPEC_FILENAME, TRACE_DIRNAME
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import merge_trace_dir, summarize_spans, write_merged_trace
 from repro.kge import (
@@ -100,16 +107,7 @@ from repro.serving import (
     serve_forever,
     validate_serve_options,
 )
-from repro.utils.config import (
-    TRAIN_ENGINES,
-    ConfigError,
-    SearchConfig,
-    TrainingConfig,
-)
-from repro.utils.serialization import from_json_file, to_json_file
-
-#: Name of the checkpoint manifest written into a search cache directory.
-RUN_CONFIG_FILENAME = "run_config.json"
+from repro.utils.config import TRAIN_ENGINES, ConfigError, TrainingConfig
 
 
 def _positive_int(value: str) -> int:
@@ -227,23 +225,15 @@ def _training_config_from_args(args: argparse.Namespace) -> TrainingConfig:
     )
 
 
-def _load_graph(args: argparse.Namespace) -> KnowledgeGraph:
+def _load_dataset(dataset: DatasetSpec) -> KnowledgeGraph:
     try:
-        return _dataset_spec_from_args(args).load()
+        return dataset.load()
     except DatasetError as error:
         raise SystemExit(str(error))
 
 
-def _training_config(args: argparse.Namespace) -> TrainingConfig:
-    return _training_config_from_args(args)
-
-
-def _dataset_spec(args: argparse.Namespace) -> dict:
-    return _dataset_spec_from_args(args).to_dict()
-
-
-def _graph_from_spec(spec: dict) -> KnowledgeGraph:
-    return DatasetSpec.from_dict(spec).load()
+def _load_graph(args: argparse.Namespace) -> KnowledgeGraph:
+    return _load_dataset(_dataset_spec_from_args(args))
 
 
 def command_stats(args: argparse.Namespace) -> int:
@@ -301,7 +291,7 @@ def command_compact(args: argparse.Namespace) -> int:
 
 def command_train(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    config = _training_config(args)
+    config = _training_config_from_args(args)
     print(f"training {args.model} on {graph.name} "
           f"(d={config.dimension}, {config.epochs} epochs)")
     model = train_model(graph, args.model, config, validate=config.eval_every > 0)
@@ -318,79 +308,88 @@ def command_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resume_state(run_dir: Path) -> dict:
-    manifest = run_dir / RUN_CONFIG_FILENAME
-    if not manifest.exists():
-        raise SystemExit(
-            f"cannot resume: {manifest} not found "
-            f"(was the original search started with --cache-dir?)"
+def _search_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The ``search`` flags as the spec the search runs (and checkpoints)."""
+    try:
+        return ExperimentSpec(
+            name="search",
+            seed=args.seed,
+            dataset=_dataset_spec_from_args(args),
+            training=_training_config_from_args(args),
+            search=SearchSpec(
+                strategy="greedy",
+                budget=args.budget,
+                max_blocks=args.max_blocks,
+                candidates_per_step=args.candidates,
+                top_parents=args.top_parents,
+                train_per_step=args.train_per_step,
+            ),
+            backend=BackendSpec(
+                backend=args.backend or "serial", num_workers=args.workers or 1
+            ),
         )
-    return from_json_file(manifest)
+    except ConfigError as error:
+        raise SystemExit(str(error))
+
+
+def _load_search_checkpoint(run_dir: Path) -> ExperimentSpec:
+    path = run_dir / SPEC_FILENAME
+    if not path.exists():
+        raise SystemExit(
+            f"cannot resume: {path} not found; start the search with "
+            f"--cache-dir {run_dir} (re-running the original command replays "
+            f"every evaluation already stored there)"
+        )
+    try:
+        return ExperimentSpec.load(path)
+    except ConfigError as error:
+        raise SystemExit(str(error))
 
 
 def command_search(args: argparse.Namespace) -> int:
-    budget = args.budget
     if args.resume:
-        run_dir = Path(args.resume)
-        state = _resume_state(run_dir)
-        graph = _graph_from_spec(state["dataset"])
-        training_config = TrainingConfig.from_dict(state["training"])
-        search_config = SearchConfig.from_dict(state["search"])
-        search_config.cache_dir = str(run_dir)
+        run_dir: Optional[Path] = Path(args.resume)
+        spec = _load_search_checkpoint(run_dir)
         # Engine flags may be overridden on resume (results are
         # backend-independent by design); dataset/search flags may not.
-        if args.backend is not None:
-            search_config.backend = args.backend
-        if args.workers is not None:
-            search_config.num_workers = args.workers
-        if budget is None:
-            budget = state.get("budget")
+        spec.backend = replace(
+            spec.backend,
+            backend=args.backend or spec.backend.backend,
+            num_workers=args.workers or spec.backend.num_workers,
+        )
+        if args.budget is not None:
+            spec.search.budget = args.budget
+        graph = _load_dataset(spec.dataset)
         print(f"resuming search for {graph.name} from {run_dir} "
-              f"(dataset/training/search flags restored from the manifest; "
+              f"(dataset/training/search settings restored from {SPEC_FILENAME}; "
               f"only --backend/--workers/--budget overrides apply)")
     else:
-        graph = _load_graph(args)
-        training_config = _training_config(args)
-        search_config = SearchConfig(
-            max_blocks=args.max_blocks,
-            candidates_per_step=args.candidates,
-            top_parents=args.top_parents,
-            train_per_step=args.train_per_step,
-            seed=args.seed,
-            backend=args.backend if args.backend is not None else "serial",
-            num_workers=args.workers if args.workers is not None else 1,
-            cache_dir=args.cache_dir,
-        )
-        if args.cache_dir:
-            run_dir = Path(args.cache_dir)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            to_json_file(
-                {
-                    "dataset": _dataset_spec(args),
-                    "training": training_config.to_dict(),
-                    "search": search_config.to_dict(),
-                    "budget": budget,
-                },
-                run_dir / RUN_CONFIG_FILENAME,
-            )
+        spec = _search_spec_from_args(args)
+        graph = _load_dataset(spec.dataset)
+        run_dir = Path(args.cache_dir) if args.cache_dir else None
+        if run_dir is not None:
+            spec.save(run_dir / SPEC_FILENAME)
 
+    budget = spec.search.budget
     print(f"searching a scoring function for {graph.name} "
-          f"(up to {search_config.max_blocks} blocks, {budget or 'unbounded'} trained models, "
-          f"{search_config.backend} backend x{search_config.num_workers})")
-    search = AutoSFSearch(graph, training_config, search_config)
-    if search.store is not None and len(search.store):
-        print(f"evaluation store: {len(search.store)} cached evaluations available "
+          f"(up to {spec.search.max_blocks} blocks, {budget or 'unbounded'} trained models, "
+          f"{spec.backend.backend} backend x{spec.backend.num_workers})")
+    loop = SearchLoop.from_spec(
+        spec, graph, store=EvaluationStore(run_dir) if run_dir is not None else None
+    )
+    if loop.store is not None and len(loop.store):
+        print(f"evaluation store: {len(loop.store)} cached evaluations available "
               f"(reused when the stored configuration matches)")
     try:
-        result = search.run(max_evaluations=budget)
+        result = loop.run(max_evaluations=budget)
     except KeyboardInterrupt:
-        if search.store is not None:
-            print(f"\ninterrupted; {len(search.store)} evaluations checkpointed — "
-                  f"restart with: repro-autosf search --resume {search.store.directory}")
+        if loop.store is not None:
+            print(f"\ninterrupted; {len(loop.store)} evaluations checkpointed — "
+                  f"restart with: repro-autosf search --resume {run_dir}")
         else:
             print("\ninterrupted (no --cache-dir, nothing checkpointed)")
         return 130
-    print(f"trained {search.evaluator.num_trained} models this run "
+    print(f"trained {loop.evaluator.num_trained} models this run "
           f"({result.num_evaluations} recorded evaluations)")
     study = CaseStudy(graph.name, result.best_structure, result.best_mrr, dataset_statistics(graph))
     print(study.report())
@@ -854,13 +853,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search_parser.add_argument(
         "--cache-dir",
-        help="directory for the persistent evaluation store (enables --resume)",
+        help="directory for the persistent evaluation store and the checkpointed "
+        "spec.json (enables --resume, and 'run DIR/spec.json --run-dir DIR')",
     )
     search_parser.add_argument(
         "--resume",
         metavar="DIR",
         help="resume a previous --cache-dir search; dataset and configs are restored "
-        "from DIR (only --backend/--workers/--budget may be overridden)",
+        "from DIR/spec.json (only --backend/--workers/--budget may be overridden)",
     )
     search_parser.set_defaults(handler=command_search)
 

@@ -1,4 +1,4 @@
-"""AutoSF core: search space, constraints, invariance, SRF, predictor, search.
+"""AutoSF core: search space, constraints, invariance, SRF, predictor, evaluation.
 
 This package implements the paper's contribution proper:
 
@@ -10,19 +10,19 @@ This package implements the paper's contribution proper:
   canonical forms (Sec. IV-A2);
 * :mod:`repro.core.srf` — symmetry-related features (Appendix C);
 * :mod:`repro.core.filters` / :mod:`repro.core.predictor` — the filter Q and
-  predictor P of Alg. 2;
-* :mod:`repro.core.greedy_search` — the progressive greedy search;
+  predictor P of Alg. 2, whose stage logic is the ``greedy`` strategy of
+  :mod:`repro.experiments.strategies`;
 * :mod:`repro.core.execution` — serial / process-pool execution backends
   for the candidate-evaluation inner loop;
 * :mod:`repro.core.store` — the persistent evaluation store behind
   cross-run caching and ``search --resume``;
-* :mod:`repro.core.baselines` — random / Bayes / general-approximator
-  AutoML baselines (Sec. V-D);
+* :mod:`repro.core.baselines` — the general-approximator baseline
+  (Sec. V-D);
 * :mod:`repro.core.hpo` — hyper-parameter tuning of the benchmark model
   (Sec. V-A2).
 """
 
-from repro.core.baselines import BayesSearch, RandomSearch, general_approximator_baseline
+from repro.core.baselines import general_approximator_baseline
 from repro.core.constraints import ConstraintReport, check_structure, satisfies_c1, satisfies_c2
 from repro.core.distributed import QueueBackend, run_worker, serve_worker
 from repro.core.evaluator import (
@@ -43,12 +43,6 @@ from repro.core.execution import (
     evaluate_candidate,
 )
 from repro.core.filters import CandidateFilter, FilterStatistics
-from repro.core.greedy_search import (
-    AutoSFSearch,
-    SearchRecord,
-    SearchResult,
-    search_scoring_function,
-)
 from repro.core.hpo import HPOResult, HPOSpace, HPOTrial, random_search_hpo, tpe_search_hpo
 from repro.core.invariance import (
     are_equivalent,
@@ -78,8 +72,6 @@ from repro.core.srf import (
 )
 
 __all__ = [
-    "BayesSearch",
-    "RandomSearch",
     "general_approximator_baseline",
     "ConstraintReport",
     "check_structure",
@@ -104,10 +96,6 @@ __all__ = [
     "derive_candidate_seed",
     "evaluate_candidate",
     "experiment_fingerprint",
-    "AutoSFSearch",
-    "SearchRecord",
-    "SearchResult",
-    "search_scoring_function",
     "HPOResult",
     "HPOSpace",
     "HPOTrial",

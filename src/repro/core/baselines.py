@@ -1,156 +1,22 @@
-"""AutoML baselines used in the comparison of Sec. V-D (Fig. 6).
+"""The general-approximator baseline of the Sec. V-D comparison (Fig. 6).
 
-Three alternative ways of spending the same "number of trained models"
-budget are implemented:
-
-* :class:`RandomSearch` — sample random structures with a fixed block count
-  (f6 in the paper's comparison) and train each one;
-* :class:`BayesSearch` — a lightweight sequential model-based optimizer: a
-  Bayesian-linear-regression surrogate over structure features ranks a pool
-  of random candidates by expected improvement (exploitation + an
-  uncertainty bonus), so promising regions are sampled more densely.  This
-  plays the role of the paper's "Bayes" (TPE) baseline without requiring
-  HyperOpt;
-* :func:`general_approximator_baseline` — train the unconstrained MLP
-  scoring function once (the Gen-Approx line of Fig. 6).
-
-The sampling/surrogate logic now lives in
-:mod:`repro.experiments.strategies` (``RandomStrategy`` /
-``BayesStrategy``), driven by the unified
-:class:`repro.experiments.loop.SearchLoop`; the classes here are thin
-compatibility shims with seed-identical trajectories.  Routing through the
-loop also fixes a long-standing waste: the baselines used to bypass the
-:class:`~repro.core.store.EvaluationStore`, re-training candidates a
-previous (or greedy) run had already evaluated — pass ``store=`` (or share
-an ``evaluator=``) and warm candidates now replay from cache.
-
-All searchers return the same :class:`~repro.core.greedy_search.SearchResult`
-structure so the benchmark harness can overlay their any-time curves.
+:func:`general_approximator_baseline` trains the unconstrained MLP scoring
+function once (the Gen-Approx line of Fig. 6).  The other two baselines of
+that comparison, random search and Bayesian optimization, are the
+``random`` / ``bayes`` strategies of :mod:`repro.experiments.strategies`,
+driven by the same :class:`~repro.experiments.loop.SearchLoop` as AutoSF so
+that every method spends one budget under one evaluation protocol.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.core.evaluator import CandidateEvaluator
-from repro.core.greedy_search import SearchResult
-from repro.core.store import EvaluationStore
 from repro.datasets.knowledge_graph import KnowledgeGraph
 from repro.kge.evaluation import evaluate_link_prediction
 from repro.kge.scoring.neural import MLPScoringFunction
 from repro.kge.trainer import Trainer
 from repro.utils.config import TrainingConfig
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.timing import TimingRecorder
-
-
-class RandomSearch:
-    """Train randomly sampled structures with a fixed block count.
-
-    .. deprecated::
-        Shim over :class:`repro.experiments.strategies.RandomStrategy` +
-        :class:`repro.experiments.loop.SearchLoop`; prefer the spec-driven
-        API (``ExperimentSpec(search={"strategy": "random"})``).
-    """
-
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        training_config: Optional[TrainingConfig] = None,
-        num_blocks: int = 6,
-        require_c2: bool = True,
-        seed: RngLike = 0,
-        evaluator: Optional[CandidateEvaluator] = None,
-        store: Optional[EvaluationStore] = None,
-    ) -> None:
-        from repro.experiments.loop import SearchLoop
-        from repro.experiments.strategies import RandomStrategy
-
-        self.graph = graph
-        self.training_config = training_config or TrainingConfig()
-        self.num_blocks = num_blocks
-        self.require_c2 = require_c2
-        self.rng = ensure_rng(seed)
-        self.timing = TimingRecorder()
-        self.strategy = RandomStrategy(num_blocks=num_blocks, require_c2=require_c2)
-        self._loop = SearchLoop(
-            graph,
-            self.strategy,
-            self.training_config,
-            # Same per-candidate seeding scheme as AutoSFSearch, so methods
-            # compared under one seed train a given structure identically
-            # (and can share a persistent evaluation store).
-            seed=seed if isinstance(seed, (int, np.integer)) else None,
-            store=store,
-            evaluator=evaluator,
-            timing=self.timing,
-            rng=self.rng,
-        )
-        self.evaluator = self._loop.evaluator
-
-    def run(self, max_evaluations: int = 32) -> SearchResult:
-        """Train up to ``max_evaluations`` random candidates."""
-        return self._loop.run(max_evaluations=max_evaluations)
-
-
-class BayesSearch:
-    """Sequential model-based search with a Bayesian linear surrogate.
-
-    .. deprecated::
-        Shim over :class:`repro.experiments.strategies.BayesStrategy` +
-        :class:`repro.experiments.loop.SearchLoop`; prefer the spec-driven
-        API (``ExperimentSpec(search={"strategy": "bayes"})``).
-    """
-
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        training_config: Optional[TrainingConfig] = None,
-        num_blocks: int = 6,
-        feature_type: str = "srf",
-        pool_size: int = 64,
-        exploration_weight: float = 1.0,
-        prior_precision: float = 1.0,
-        noise_precision: float = 25.0,
-        seed: RngLike = 0,
-        evaluator: Optional[CandidateEvaluator] = None,
-        store: Optional[EvaluationStore] = None,
-    ) -> None:
-        from repro.experiments.loop import SearchLoop
-        from repro.experiments.strategies import BayesStrategy
-
-        self.graph = graph
-        self.training_config = training_config or TrainingConfig()
-        self.num_blocks = num_blocks
-        self.pool_size = pool_size
-        self.rng = ensure_rng(seed)
-        self.timing = TimingRecorder()
-        self.strategy = BayesStrategy(
-            num_blocks=num_blocks,
-            feature_type=feature_type,
-            pool_size=pool_size,
-            exploration_weight=exploration_weight,
-            prior_precision=prior_precision,
-            noise_precision=noise_precision,
-        )
-        self._loop = SearchLoop(
-            graph,
-            self.strategy,
-            self.training_config,
-            # Same per-candidate seeding scheme as AutoSFSearch (see above).
-            seed=seed if isinstance(seed, (int, np.integer)) else None,
-            store=store,
-            evaluator=evaluator,
-            timing=self.timing,
-            rng=self.rng,
-        )
-        self.evaluator = self._loop.evaluator
-
-    def run(self, max_evaluations: int = 32) -> SearchResult:
-        """Run the surrogate-guided search for ``max_evaluations`` trainings."""
-        return self._loop.run(max_evaluations=max_evaluations)
 
 
 def general_approximator_baseline(

@@ -12,18 +12,15 @@ runs":
   comparison, and the :func:`register_strategy` plug-in registry;
 * :mod:`repro.experiments.loop` — the single :class:`SearchLoop` driver
   owning seeding, the execution backend, the shared evaluation store,
-  budgets and resume;
+  budgets and resume; :meth:`SearchLoop.from_spec` is how every search
+  starts, and :class:`SearchResult` is what it returns;
 * :mod:`repro.experiments.runner` — :class:`ExperimentRunner` and the
   versioned run-directory contract (``spec.json`` / ``history.jsonl`` /
   ``report.json`` / ``best/`` / ``manifest.json``) consumed by the CLI's
   ``run`` / ``compare`` / ``export --run`` and the analysis helpers.
-
-The legacy entry points (``AutoSFSearch``, ``RandomSearch``,
-``BayesSearch``, ``search_scoring_function``) remain as thin shims over
-this API with seed-identical trajectories.
 """
 
-from repro.experiments.loop import SearchLoop
+from repro.experiments.loop import SearchLoop, SearchRecord, SearchResult
 from repro.experiments.scheduler import FidelityScheduler
 from repro.experiments.runner import (
     RUN_SCHEMA_VERSION,
@@ -74,6 +71,8 @@ __all__ = [
     "load_spec",
     "FidelityScheduler",
     "SearchLoop",
+    "SearchRecord",
+    "SearchResult",
     "SearchState",
     "SearchStrategy",
     "GreedyStrategy",

@@ -1,10 +1,10 @@
 """The single search driver behind every strategy.
 
-:class:`SearchLoop` owns the mechanics that used to be re-implemented (or
-forgotten) by each searcher: deterministic seeding, the execution backend,
-the shared in-memory/persistent evaluation cache, budget accounting and
-timing.  A strategy only decides *which* structures to train next; the loop
-decides how they are trained, cached and recorded:
+:class:`SearchLoop` owns the mechanics every search shares: deterministic
+seeding, the execution backend, the shared in-memory/persistent evaluation
+cache, budget accounting and timing.  A strategy only decides *which*
+structures to train next; the loop decides how they are trained, cached and
+recorded:
 
 .. code-block:: text
 
@@ -16,32 +16,109 @@ decides how they are trained, cached and recorded:
 
 Because the loop routes *every* strategy through one
 :class:`~repro.core.evaluator.CandidateEvaluator` (and, when given, one
-:class:`~repro.core.store.EvaluationStore`), baseline runs now reuse
-evaluations the greedy search already paid for — the legacy ``RandomSearch``
-/ ``BayesSearch`` bypassed the store entirely and re-trained warm
-candidates from scratch.  Re-running an interrupted loop against the same
-store fast-forwards through completed evaluations (resume).
+:class:`~repro.core.store.EvaluationStore`), baseline runs reuse
+evaluations the greedy search already paid for, and re-running an
+interrupted loop against the same store fast-forwards through completed
+evaluations (resume).
+
+:meth:`SearchLoop.from_spec` builds the search an
+:class:`~repro.experiments.spec.ExperimentSpec` describes; the runner, the
+``search`` subcommand and the paper benchmarks all start searches that way.
+Every run returns a :class:`SearchResult` of :class:`SearchRecord` rows.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.evaluator import CandidateEvaluation, CandidateEvaluator
+from repro.core.evaluator import CandidateEvaluator
 from repro.core.execution import ExecutionBackend, create_backend
-from repro.core.greedy_search import SearchRecord, SearchResult
 from repro.core.invariance import canonical_key
 from repro.core.store import EvaluationStore
 from repro.datasets.knowledge_graph import KnowledgeGraph
 from repro.experiments.scheduler import FidelityScheduler
-from repro.experiments.strategies import SearchState, SearchStrategy
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.strategies import SearchState, SearchStrategy, create_strategy
+from repro.kge.scoring.blocks import BlockStructure
 from repro.obs import trace as obs_trace
 from repro.utils.config import TrainingConfig
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.timing import TimingRecorder
+
+
+@dataclass
+class SearchRecord:
+    """One trained candidate inside a search run.
+
+    ``rung`` / ``rung_epochs`` / ``full_fidelity`` carry ASHA fidelity
+    metadata: a scheduler-driven loop records low-rung (reduced-epoch)
+    evaluations with ``full_fidelity=False`` so the history shows every
+    training run, while rankings and budgets only consider full-fidelity
+    records.  Plain full-fidelity searches leave the defaults untouched.
+    """
+
+    structure: BlockStructure
+    validation_mrr: float
+    num_blocks: int
+    stage: int
+    order: int
+    elapsed_seconds: float
+    rung: Optional[int] = None
+    rung_epochs: Optional[int] = None
+    full_fidelity: bool = True
+
+
+@dataclass
+class SearchResult:
+    """Outcome of one search run."""
+
+    best_structure: BlockStructure
+    best_mrr: float
+    records: List[SearchRecord] = field(default_factory=list)
+    timing: Optional[TimingRecorder] = None
+    filter_statistics: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def full_fidelity_records(self) -> List[SearchRecord]:
+        """Records trained with the full epoch budget (the comparable ones)."""
+        return [record for record in self.records if record.full_fidelity]
+
+    @property
+    def num_evaluations(self) -> int:
+        """Budget-counted evaluations (full fidelity only)."""
+        return len(self.full_fidelity_records)
+
+    def best_per_stage(self) -> Dict[int, SearchRecord]:
+        """The best full-fidelity record of every stage (keyed by block count)."""
+        best: Dict[int, SearchRecord] = {}
+        for record in self.full_fidelity_records:
+            current = best.get(record.num_blocks)
+            if current is None or record.validation_mrr > current.validation_mrr:
+                best[record.num_blocks] = record
+        return best
+
+    def anytime_curve(self) -> List[float]:
+        """Best-so-far validation MRR after each trained model (Fig. 6/7).
+
+        Low-fidelity rung evaluations are excluded: their MRRs are not
+        comparable to fully trained models.
+        """
+        curve: List[float] = []
+        best = -np.inf
+        for record in sorted(self.full_fidelity_records, key=lambda item: item.order):
+            best = max(best, record.validation_mrr)
+            curve.append(float(best))
+        return curve
+
+    def top(self, count: int = 5) -> List[SearchRecord]:
+        """The ``count`` best full-fidelity records overall."""
+        return sorted(self.full_fidelity_records, key=lambda item: -item.validation_mrr)[
+            :count
+        ]
 
 
 class SearchLoop:
@@ -154,6 +231,36 @@ class SearchLoop:
             labels=strategy_label,
         )
 
+    @classmethod
+    def from_spec(
+        cls,
+        spec: ExperimentSpec,
+        graph: KnowledgeGraph,
+        *,
+        training_config: Optional[TrainingConfig] = None,
+        store: Optional[EvaluationStore] = None,
+        evaluator: Optional[CandidateEvaluator] = None,
+    ) -> "SearchLoop":
+        """The search ``spec`` describes, on ``graph``.
+
+        The strategy, master seed, execution backend and fidelity scheduler
+        come from the spec.  ``training_config`` replaces ``spec.training``
+        (the runner passes its HPO-tuned config); ``store`` and
+        ``evaluator`` are handed to the constructor.  The budget stays an
+        argument of :meth:`run` — ``run(max_evaluations=spec.search.budget)``
+        honours the spec's.
+        """
+        return cls(
+            graph,
+            create_strategy(spec),
+            training_config if training_config is not None else spec.training,
+            seed=spec.seed,
+            backend=spec.backend.create(),
+            store=store,
+            evaluator=evaluator,
+            scheduler=spec.scheduler.create(),
+        )
+
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
@@ -163,10 +270,9 @@ class SearchLoop:
         ``max_evaluations`` caps *recorded* evaluations, including replays
         from a persistent store — that is what lets an interrupted run
         resume to exactly the same budget instead of training
-        ``max_evaluations`` fresh models on top of the cached ones.  Unlike
-        the pre-unification greedy search, the cap also applies to the seed
-        stage: a budget below the number of f4 seeds records exactly
-        ``max_evaluations`` results instead of overshooting.
+        ``max_evaluations`` fresh models on top of the cached ones.  The cap
+        also applies to the greedy seed stage: a budget below the number of
+        f4 seeds records exactly ``max_evaluations`` results.
 
         Each call starts a fresh record list and budget; note however that
         stateful strategies (greedy stages, dedup filters, surrogates) carry

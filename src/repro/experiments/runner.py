@@ -35,13 +35,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.execution import derive_candidate_seed as _derive_seed
-from repro.core.greedy_search import SearchResult
 from repro.core.hpo import random_search_hpo, tpe_search_hpo
 from repro.core.invariance import canonical_key
 from repro.core.store import EvaluationStore
-from repro.experiments.loop import SearchLoop
+from repro.experiments.loop import SearchLoop, SearchResult
 from repro.experiments.spec import SPEC_SCHEMA_VERSION, ExperimentSpec
-from repro.experiments.strategies import create_strategy
 from repro.kge.model import KGEModel, train_model
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -286,15 +284,11 @@ class ExperimentRunner:
             with obs_trace.span("run.hpo"):
                 training_config, hpo_summary = self._tune_training_config(graph)
 
-            strategy = create_strategy(self.spec)
-            loop = SearchLoop(
+            loop = SearchLoop.from_spec(
+                self.spec,
                 graph,
-                strategy,
-                training_config,
-                seed=self.spec.seed,
-                backend=self.spec.backend.create(),
+                training_config=training_config,
                 store=EvaluationStore(self.run_dir),
-                scheduler=self.spec.scheduler.create(),
             )
             budget = (
                 max_evaluations if max_evaluations is not None else self.spec.search.budget
@@ -317,7 +311,7 @@ class ExperimentRunner:
 
         report: Dict[str, Any] = {
             "name": self.spec.name,
-            "strategy": strategy.name,
+            "strategy": loop.strategy.name,
             "dataset": graph.name,
             "best_mrr": result.best_mrr,
             "best_structure": {

@@ -42,7 +42,6 @@ from repro.utils.config import (
     EXECUTION_BACKENDS,
     ConfigError,
     PredictorConfig,
-    SearchConfig,
     TrainingConfig,
     config_from_dict,
 )
@@ -186,39 +185,15 @@ class SearchSpec:
             raise ConfigError("SearchSpec.strategy: must be a non-empty string")
         if self.budget is not None and self.budget <= 0:
             raise ConfigError("SearchSpec.budget: must be positive (or null for unbounded)")
-        if self.num_blocks < 4 or self.num_blocks % 2 != 0:
-            raise ConfigError("SearchSpec.num_blocks: must be an even number >= 4")
-        if self.pool_size <= 0:
-            raise ConfigError("SearchSpec.pool_size: must be positive")
-        # The greedy meta-parameters share SearchConfig's validation; build
-        # one to reuse its range checks.
-        try:
-            self.to_search_config()
-        except ValueError as error:
-            raise ConfigError(f"SearchSpec: {error}") from error
-
-    def to_search_config(
-        self,
-        predictor: Optional[PredictorConfig] = None,
-        seed: Optional[int] = 0,
-        backend: str = "serial",
-        num_workers: int = 1,
-        cache_dir: Optional[str] = None,
-    ) -> SearchConfig:
-        """The legacy :class:`SearchConfig` view of this section."""
-        return SearchConfig(
-            max_blocks=self.max_blocks,
-            candidates_per_step=self.candidates_per_step,
-            top_parents=self.top_parents,
-            train_per_step=self.train_per_step,
-            use_filter=self.use_filter,
-            use_predictor=self.use_predictor,
-            predictor=predictor if predictor is not None else PredictorConfig(),
-            seed=seed,
-            backend=backend,
-            num_workers=num_workers,
-            cache_dir=cache_dir,
-        )
+        for name in ("max_blocks", "num_blocks"):
+            value = getattr(self, name)
+            if value < 4 or value % 2 != 0:
+                raise ConfigError(
+                    f"SearchSpec.{name}: must be an even number >= 4 (blocks come in pairs)"
+                )
+        for name in ("candidates_per_step", "top_parents", "train_per_step", "pool_size"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"SearchSpec.{name}: must be positive")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -498,19 +473,6 @@ class ExperimentSpec:
                     f"ExperimentSpec.{section}: expected a mapping or {cls.__name__}, "
                     f"got {type(value).__name__} ({value!r})"
                 )
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-    def search_config(self, cache_dir: Optional[str] = None) -> SearchConfig:
-        """The assembled legacy :class:`SearchConfig` for this spec."""
-        return self.search.to_search_config(
-            predictor=self.predictor,
-            seed=self.seed,
-            backend=self.backend.backend,
-            num_workers=self.backend.num_workers,
-            cache_dir=cache_dir,
-        )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -16,10 +16,8 @@ The three policies of the paper's Sec. V comparison are registered under
 :func:`register_strategy` makes new policies (evolutionary, portfolio, ...)
 a one-file plug-in selected by the spec's ``search.strategy`` field.
 
-The ported strategies draw from the shared ``state.rng`` in exactly the
-same sequence as the legacy ``AutoSFSearch`` / ``RandomSearch`` /
-``BayesSearch`` implementations, so a fixed seed produces the identical
-trajectory through either API.
+Strategies draw all their randomness from the shared ``state.rng``, so a
+fixed seed reproduces a trajectory exactly.
 """
 
 from __future__ import annotations
@@ -136,7 +134,7 @@ class GreedyStrategy:
         self._exhausted = False
 
     # ------------------------------------------------------------------
-    # Stage logic (verbatim port of AutoSFSearch's RNG sequence)
+    # Stage logic
     # ------------------------------------------------------------------
     def _seed_candidates(self, state: SearchState) -> List[BlockStructure]:
         """Stage b = 4: every distinct seed structure."""

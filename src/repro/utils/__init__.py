@@ -5,18 +5,13 @@ subpackage (datasets, kge, core, analysis) can rely on them without circular
 imports.
 """
 
-from repro.utils.config import (
-    PredictorConfig,
-    SearchConfig,
-    TrainingConfig,
-)
+from repro.utils.config import PredictorConfig, TrainingConfig
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.serialization import from_json_file, to_json_file
 from repro.utils.timing import Stopwatch, TimingRecorder
 
 __all__ = [
     "PredictorConfig",
-    "SearchConfig",
     "TrainingConfig",
     "ensure_rng",
     "spawn_rngs",

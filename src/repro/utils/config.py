@@ -1,18 +1,18 @@
 """Configuration dataclasses shared across the library.
 
 The paper trains every candidate scoring function with one fixed set of
-hyper-parameters per dataset (Sec. V-A2) and runs the progressive greedy
-search with meta hyper-parameters ``N``, ``K1`` and ``K2`` (Sec. V-A3).
-These dataclasses capture exactly those knobs plus the predictor settings,
-so that an experiment is fully described by three small objects that can be
-serialized next to its results.
+hyper-parameters per dataset (Sec. V-A2) and ranks candidates with a small
+performance predictor.  :class:`TrainingConfig` and :class:`PredictorConfig`
+capture exactly those knobs; the search's meta hyper-parameters ``N``,
+``K1`` and ``K2`` (Sec. V-A3) are the ``search`` section of an experiment
+spec (:class:`repro.experiments.spec.SearchSpec`).
 """
 
 from __future__ import annotations
 
 import typing
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 #: Execution backends the search engine knows how to build (the single
@@ -253,77 +253,4 @@ class PredictorConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PredictorConfig":
         """Build from a dict, skipping unknown keys (see :func:`config_from_dict`)."""
-        return config_from_dict(cls, data)
-
-
-@dataclass
-class SearchConfig:
-    """Meta hyper-parameters of the progressive greedy search (Alg. 2).
-
-    Attributes
-    ----------
-    max_blocks:
-        ``B`` — largest number of non-zero blocks in ``g(r)``.
-    candidates_per_step:
-        ``N`` — number of filtered candidates gathered before prediction.
-    top_parents:
-        ``K1`` — number of top SFs from the previous stage used as parents.
-    train_per_step:
-        ``K2`` — number of predictor-selected candidates actually trained.
-    use_filter / use_predictor:
-        Ablation switches (Fig. 7).
-    backend / num_workers:
-        Execution engine for candidate training: ``"serial"`` runs the batch
-        in-process, ``"process"`` fans it out over ``num_workers`` worker
-        processes.  Both produce identical results for the same seed.
-    cache_dir:
-        Optional directory for the persistent evaluation store; enables
-        cross-run caching and ``search --resume``.
-    """
-
-    max_blocks: int = 6
-    candidates_per_step: int = 64
-    top_parents: int = 8
-    train_per_step: int = 8
-    use_filter: bool = True
-    use_predictor: bool = True
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    seed: Optional[int] = 0
-    backend: str = "serial"
-    num_workers: int = 1
-    cache_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.max_blocks < 4:
-            raise ValueError("max_blocks must be at least 4")
-        if self.max_blocks % 2 != 0:
-            raise ValueError("max_blocks must be even (blocks are added in pairs)")
-        if self.candidates_per_step <= 0:
-            raise ValueError("candidates_per_step must be positive")
-        if self.top_parents <= 0:
-            raise ValueError("top_parents must be positive")
-        if self.train_per_step <= 0:
-            raise ValueError("train_per_step must be positive")
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ValueError(f"unknown execution backend: {self.backend!r}")
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if isinstance(self.predictor, dict):
-            self.predictor = PredictorConfig(**self.predictor)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SearchConfig":
-        """Build from a dict, skipping unknown keys (see :func:`config_from_dict`).
-
-        The nested ``predictor`` section goes through
-        :meth:`PredictorConfig.from_dict` first, so unknown keys inside it
-        are also skipped with a warning instead of raising ``TypeError``.
-        """
-        if isinstance(data, dict) and isinstance(data.get("predictor"), dict):
-            data = dict(data)
-            data["predictor"] = PredictorConfig.from_dict(data["predictor"])
         return config_from_dict(cls, data)

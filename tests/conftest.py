@@ -16,7 +16,8 @@ import pytest
 
 from repro.datasets import GeneratorProfile, KnowledgeGraph, generate_knowledge_graph
 from repro.datasets.statistics import RelationPattern
-from repro.utils.config import PredictorConfig, SearchConfig, TrainingConfig
+from repro.experiments import ExperimentSpec, SearchSpec
+from repro.utils.config import PredictorConfig, TrainingConfig
 
 #: Markers whose tests are tier 2 (skipped unless --runslow is given).
 TIER2_MARKERS = ("slow", "property", "bench")
@@ -110,15 +111,12 @@ def fast_training_config() -> TrainingConfig:
 
 
 @pytest.fixture()
-def fast_search_config() -> SearchConfig:
-    """Search configuration sized for a couple of seconds of wall time."""
-    return SearchConfig(
-        max_blocks=6,
-        candidates_per_step=8,
-        top_parents=3,
-        train_per_step=2,
-        predictor=PredictorConfig(epochs=50),
+def fast_search_spec() -> ExperimentSpec:
+    """A greedy search spec sized for a couple of seconds of wall time."""
+    return ExperimentSpec(
         seed=0,
+        search=SearchSpec(max_blocks=6, candidates_per_step=8, top_parents=3, train_per_step=2),
+        predictor=PredictorConfig(epochs=50),
     )
 
 

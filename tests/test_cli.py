@@ -117,7 +117,10 @@ class TestCommands:
         exit_code = main(common + ["--cache-dir", str(run_dir)])
         first = capsys.readouterr().out
         assert exit_code == 0
-        assert (run_dir / "run_config.json").exists()
+        checkpoint = ExperimentSpec.load(run_dir / "spec.json")
+        assert checkpoint.search.strategy == "greedy"
+        assert checkpoint.search.budget == 4
+        assert checkpoint.dataset.scale == 0.2
         assert list((run_dir / "evaluations").glob("*.json"))
 
         exit_code = main(["search", "--resume", str(run_dir)])
@@ -131,9 +134,35 @@ class TestCommands:
 
         assert mrr_line(first) == mrr_line(second)
 
+        # The checkpoint is an ordinary experiment spec: running it against
+        # the same directory replays the search from its store.
+        assert main(["run", str(run_dir / "spec.json"), "--run-dir", str(run_dir)]) == 0
+        third = capsys.readouterr().out
+        row = [line for line in third.splitlines() if line.startswith("greedy")][0].split()
+        assert row[2:4] == ["4", "0"]  # strategy dataset evaluations trained ...
+        assert mrr_line(third) == mrr_line(first)
+
+    def test_resume_budget_override_extends_the_checkpoint(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main([
+            "search", "--benchmark", "wn18rr", "--scale", "0.2", "--dimension", "8",
+            "--epochs", "3", "--batch-size", "128", "--budget", "4", "--candidates", "6",
+            "--train-per-step", "2", "--cache-dir", str(run_dir),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["search", "--resume", str(run_dir), "--budget", "6"]) == 0
+        resumed = capsys.readouterr().out
+        assert "trained 2 models this run (6 recorded evaluations)" in resumed
+        # The checkpoint itself is left as the original search wrote it.
+        assert ExperimentSpec.load(run_dir / "spec.json").search.budget == 4
+
     def test_resume_without_manifest_fails(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="spec.json not found"):
             main(["search", "--resume", str(tmp_path / "nowhere")])
+
+    def test_search_rejects_bad_meta_parameters(self):
+        with pytest.raises(SystemExit, match="SearchSpec.max_blocks"):
+            main(["search", "--max-blocks", "7"])
 
 
 def _write_spec(tmp_path, name, strategy, budget=4):

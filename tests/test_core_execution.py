@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +19,12 @@ from repro.core.execution import (
     derive_candidate_seed,
     evaluate_candidate,
 )
-from repro.core.greedy_search import AutoSFSearch
 from repro.core.invariance import canonical_key
 from repro.core.store import EvaluationStore
 from repro.core.search_space import enumerate_f4_structures
+from repro.experiments import BackendSpec, ExperimentSpec, SearchLoop, SearchSpec
 from repro.kge.scoring import classical_structure
-from repro.utils.config import ConfigError, PredictorConfig, SearchConfig, TrainingConfig
+from repro.utils.config import ConfigError, PredictorConfig, TrainingConfig
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +33,11 @@ def engine_training_config():
 
 
 @pytest.fixture(scope="module")
-def engine_search_config():
-    return SearchConfig(
-        max_blocks=6,
-        candidates_per_step=6,
-        top_parents=3,
-        train_per_step=2,
-        predictor=PredictorConfig(epochs=50),
+def engine_search_spec():
+    return ExperimentSpec(
         seed=0,
+        search=SearchSpec(max_blocks=6, candidates_per_step=6, top_parents=3, train_per_step=2),
+        predictor=PredictorConfig(epochs=50),
     )
 
 
@@ -124,16 +122,15 @@ class TestBackends:
 
 class TestSearchParity:
     def test_serial_vs_process_search_bitwise_equal(
-        self, tiny_graph, engine_training_config, engine_search_config
+        self, tiny_graph, engine_training_config, engine_search_spec
     ):
-        serial = AutoSFSearch(
-            tiny_graph, engine_training_config, engine_search_config, backend=SerialBackend()
+        serial = SearchLoop.from_spec(
+            engine_search_spec, tiny_graph, training_config=engine_training_config
         ).run(max_evaluations=8)
-        parallel = AutoSFSearch(
+        parallel = SearchLoop.from_spec(
+            replace(engine_search_spec, backend=BackendSpec(backend="process", num_workers=2)),
             tiny_graph,
-            engine_training_config,
-            engine_search_config,
-            backend=ProcessPoolBackend(num_workers=2),
+            training_config=engine_training_config,
         ).run(max_evaluations=8)
         assert serial.num_evaluations == parallel.num_evaluations
         for a, b in zip(serial.records, parallel.records):
@@ -143,13 +140,14 @@ class TestSearchParity:
         assert serial.best_structure.key() == parallel.best_structure.key()
         assert serial.best_mrr == parallel.best_mrr
 
-    def test_config_driven_backend(self, tiny_graph, engine_training_config, engine_search_config):
-        config = SearchConfig.from_dict(
-            {**engine_search_config.to_dict(), "backend": "process", "num_workers": 2}
+    def test_config_driven_backend(self, tiny_graph, engine_training_config, engine_search_spec):
+        data = engine_search_spec.to_dict()
+        data["backend"] = {"backend": "process", "num_workers": 2}
+        loop = SearchLoop.from_spec(
+            ExperimentSpec.from_dict(data), tiny_graph, training_config=engine_training_config
         )
-        search = AutoSFSearch(tiny_graph, engine_training_config, config)
-        assert isinstance(search.backend, ProcessPoolBackend)
-        result = search.run(max_evaluations=5)
+        assert isinstance(loop.backend, ProcessPoolBackend)
+        result = loop.run(max_evaluations=5)
         assert result.num_evaluations == 5
 
 
@@ -475,19 +473,22 @@ class TestEvaluationStore:
         assert resumed.evaluate(structures[0]).from_cache
 
     def test_search_resumes_without_retraining(
-        self, tiny_graph, engine_training_config, engine_search_config, tmp_path
+        self, tiny_graph, engine_training_config, engine_search_spec, tmp_path
     ):
-        store = EvaluationStore(tmp_path)
-        first = AutoSFSearch(
-            tiny_graph, engine_training_config, engine_search_config, store=store
-        )
+        def search():
+            return SearchLoop.from_spec(
+                engine_search_spec,
+                tiny_graph,
+                training_config=engine_training_config,
+                store=EvaluationStore(tmp_path),
+            )
+
+        first = search()
         result = first.run(max_evaluations=6)
         trained = first.evaluator.num_trained
         assert trained > 0
 
-        second = AutoSFSearch(
-            tiny_graph, engine_training_config, engine_search_config, store=EvaluationStore(tmp_path)
-        )
+        second = search()
         resumed = second.run(max_evaluations=6)
         assert second.evaluator.num_trained == 0
         assert [r.validation_mrr for r in resumed.records] == [

@@ -1,21 +1,25 @@
-"""Tests for the candidate evaluator, greedy search, baselines and HPO."""
+"""Tests for the candidate evaluator, spec-driven searches, baselines and HPO."""
 
 import numpy as np
 import pytest
 
-from repro.core.baselines import BayesSearch, RandomSearch, general_approximator_baseline
+from repro.core.baselines import general_approximator_baseline
 from repro.core.evaluator import CandidateEvaluator
-from repro.core.greedy_search import AutoSFSearch, SearchResult, search_scoring_function
 from repro.core.hpo import HPOSpace, random_search_hpo, tpe_search_hpo
 from repro.core.invariance import sign_flip
 from repro.core.search_space import enumerate_f4_structures
+from repro.experiments import ExperimentSpec, SearchLoop, SearchResult, SearchSpec
 from repro.kge.scoring import classical_structure
-from repro.utils.config import PredictorConfig, SearchConfig, TrainingConfig
+from repro.utils.config import TrainingConfig
 
 
 @pytest.fixture(scope="module")
 def search_training_config():
     return TrainingConfig(dimension=8, epochs=4, batch_size=64, learning_rate=0.5, seed=0)
+
+
+def _loop(graph, training_config, spec, **kwargs) -> SearchLoop:
+    return SearchLoop.from_spec(spec, graph, training_config=training_config, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -64,78 +68,75 @@ class TestCandidateEvaluator:
 
 
 class TestAutoSFSearch:
-    def test_search_produces_result(self, tiny_graph, search_training_config, fast_search_config):
-        result = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run()
+    """The greedy search (Alg. 2), built from a spec."""
+
+    def test_search_produces_result(self, tiny_graph, search_training_config, fast_search_spec):
+        result = _loop(tiny_graph, search_training_config, fast_search_spec).run()
         assert isinstance(result, SearchResult)
         assert result.num_evaluations >= 5  # at least the f4 seeds
         assert 0.0 <= result.best_mrr <= 1.0
         assert result.best_structure.num_blocks in (4, 6)
 
-    def test_anytime_curve_monotone(self, tiny_graph, search_training_config, fast_search_config):
-        result = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run()
+    def test_anytime_curve_monotone(self, tiny_graph, search_training_config, fast_search_spec):
+        result = _loop(tiny_graph, search_training_config, fast_search_spec).run()
         curve = result.anytime_curve()
         assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
         assert len(curve) == result.num_evaluations
 
-    def test_best_per_stage_and_top(self, tiny_graph, search_training_config, fast_search_config):
-        result = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run()
+    def test_best_per_stage_and_top(self, tiny_graph, search_training_config, fast_search_spec):
+        result = _loop(tiny_graph, search_training_config, fast_search_spec).run()
         per_stage = result.best_per_stage()
         assert 4 in per_stage
         top = result.top(3)
         assert len(top) <= 3
         assert top[0].validation_mrr == result.best_mrr
 
-    def test_max_evaluations_cap(self, tiny_graph, search_training_config, fast_search_config):
-        result = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run(
+    def test_max_evaluations_cap(self, tiny_graph, search_training_config, fast_search_spec):
+        result = _loop(tiny_graph, search_training_config, fast_search_spec).run(
             max_evaluations=6
         )
         assert result.num_evaluations <= 6
 
-    def test_records_have_increasing_order(self, tiny_graph, search_training_config, fast_search_config):
-        result = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run()
+    def test_records_have_increasing_order(self, tiny_graph, search_training_config, fast_search_spec):
+        result = _loop(tiny_graph, search_training_config, fast_search_spec).run()
         orders = [record.order for record in result.records]
         assert orders == sorted(orders)
         assert orders[0] == 1
 
-    def test_search_reproducible(self, tiny_graph, search_training_config, fast_search_config):
-        first = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run()
-        second = AutoSFSearch(tiny_graph, search_training_config, fast_search_config).run()
+    def test_search_reproducible(self, tiny_graph, search_training_config, fast_search_spec):
+        first = _loop(tiny_graph, search_training_config, fast_search_spec).run()
+        second = _loop(tiny_graph, search_training_config, fast_search_spec).run()
         assert first.best_structure.key() == second.best_structure.key()
         assert first.best_mrr == pytest.approx(second.best_mrr)
 
     def test_ablation_no_filter_no_predictor(self, tiny_graph, search_training_config):
-        config = SearchConfig(
-            max_blocks=6,
-            candidates_per_step=6,
-            top_parents=2,
-            train_per_step=2,
-            use_filter=False,
-            use_predictor=False,
-            seed=0,
+        spec = ExperimentSpec(
+            search=SearchSpec(
+                max_blocks=6,
+                candidates_per_step=6,
+                top_parents=2,
+                train_per_step=2,
+                use_filter=False,
+                use_predictor=False,
+            )
         )
-        result = AutoSFSearch(tiny_graph, search_training_config, config).run()
+        result = _loop(tiny_graph, search_training_config, spec).run()
         assert result.num_evaluations >= 5
 
-    def test_timing_phases_recorded(self, tiny_graph, search_training_config, fast_search_config):
-        search = AutoSFSearch(tiny_graph, search_training_config, fast_search_config)
-        search.run()
-        summary = search.timing.summary()
+    def test_timing_phases_recorded(self, tiny_graph, search_training_config, fast_search_spec):
+        loop = _loop(tiny_graph, search_training_config, fast_search_spec)
+        loop.run()
+        summary = loop.timing.summary()
         assert "train" in summary and "evaluate" in summary and "filter" in summary
         assert summary["train"]["total"] > 0
 
-    def test_convenience_wrapper(self, tiny_graph, search_training_config, fast_search_config):
-        result = search_scoring_function(
-            tiny_graph, search_training_config, fast_search_config, max_evaluations=6
-        )
-        assert isinstance(result, SearchResult)
-
-    def test_shared_evaluator_reuses_cache(self, tiny_graph, search_training_config, fast_search_config):
+    def test_shared_evaluator_reuses_cache(self, tiny_graph, search_training_config, fast_search_spec):
         evaluator = CandidateEvaluator(tiny_graph, search_training_config)
-        AutoSFSearch(tiny_graph, search_training_config, fast_search_config, evaluator=evaluator).run(
+        _loop(tiny_graph, search_training_config, fast_search_spec, evaluator=evaluator).run(
             max_evaluations=5
         )
         trained_before = evaluator.num_trained
-        AutoSFSearch(tiny_graph, search_training_config, fast_search_config, evaluator=evaluator).run(
+        _loop(tiny_graph, search_training_config, fast_search_spec, evaluator=evaluator).run(
             max_evaluations=5
         )
         # The seeds are shared, so the second run must not retrain all of them.
@@ -143,24 +144,23 @@ class TestAutoSFSearch:
 
 
 class TestBaselines:
+    """Random search and Bayes are strategies selected by the spec."""
+
     def test_random_search(self, tiny_graph, search_training_config):
-        result = RandomSearch(tiny_graph, search_training_config, num_blocks=6, seed=0).run(
-            max_evaluations=4
-        )
+        spec = ExperimentSpec(search=SearchSpec(strategy="random", num_blocks=6))
+        result = _loop(tiny_graph, search_training_config, spec).run(max_evaluations=4)
         assert result.num_evaluations == 4
         assert all(record.num_blocks == 6 for record in result.records)
 
     def test_random_search_distinct_structures(self, tiny_graph, search_training_config):
-        result = RandomSearch(tiny_graph, search_training_config, num_blocks=6, seed=1).run(
-            max_evaluations=5
-        )
+        spec = ExperimentSpec(seed=1, search=SearchSpec(strategy="random", num_blocks=6))
+        result = _loop(tiny_graph, search_training_config, spec).run(max_evaluations=5)
         keys = {record.structure.key() for record in result.records}
         assert len(keys) == len(result.records)
 
     def test_bayes_search(self, tiny_graph, search_training_config):
-        result = BayesSearch(
-            tiny_graph, search_training_config, num_blocks=6, pool_size=8, seed=0
-        ).run(max_evaluations=4)
+        spec = ExperimentSpec(search=SearchSpec(strategy="bayes", num_blocks=6, pool_size=8))
+        result = _loop(tiny_graph, search_training_config, spec).run(max_evaluations=4)
         assert result.num_evaluations == 4
         assert 0.0 <= result.best_mrr <= 1.0
 

@@ -1,9 +1,7 @@
-"""Tests for the SearchStrategy protocol, the unified SearchLoop, and the
-legacy-shim parity guarantees."""
+"""Tests for the SearchStrategy protocol and the unified SearchLoop."""
 
 import pytest
 
-from repro.core import AutoSFSearch, BayesSearch, RandomSearch
 from repro.core.store import EvaluationStore
 from repro.experiments import (
     ExperimentSpec,
@@ -15,7 +13,7 @@ from repro.experiments import (
 )
 from repro.experiments.strategies import _STRATEGIES
 from repro.kge.scoring import classical_structure
-from repro.utils.config import ConfigError, PredictorConfig, SearchConfig, TrainingConfig
+from repro.utils.config import ConfigError, PredictorConfig, TrainingConfig
 
 
 @pytest.fixture(scope="module")
@@ -72,64 +70,6 @@ class TestRegistry:
             assert result.filter_statistics == {"accepted": 2}
         finally:
             _STRATEGIES.pop("fixed-menu", None)
-
-
-@pytest.mark.slow  # tier 2: three full searches per strategy
-class TestLegacyParity:
-    """Same seeds => identical trajectories through either API (satellite)."""
-
-    def test_greedy_parity(self, tiny_graph, loop_training_config):
-        spec = _greedy_spec(seed=0)
-        new = SearchLoop(
-            tiny_graph, create_strategy(spec), loop_training_config, seed=spec.seed
-        ).run(max_evaluations=8)
-        legacy = AutoSFSearch(
-            tiny_graph,
-            loop_training_config,
-            SearchConfig(
-                max_blocks=6,
-                candidates_per_step=8,
-                top_parents=3,
-                train_per_step=2,
-                predictor=PredictorConfig(epochs=50),
-                seed=0,
-            ),
-        ).run(max_evaluations=8)
-        assert new.anytime_curve() == legacy.anytime_curve()
-        assert [r.structure.key() for r in new.records] == [
-            r.structure.key() for r in legacy.records
-        ]
-        assert [(r.stage, r.order) for r in new.records] == [
-            (r.stage, r.order) for r in legacy.records
-        ]
-
-    def test_random_parity(self, tiny_graph, loop_training_config):
-        spec = ExperimentSpec(seed=5, search=SearchSpec(strategy="random", num_blocks=6))
-        new = SearchLoop(
-            tiny_graph, create_strategy(spec), loop_training_config, seed=5
-        ).run(max_evaluations=5)
-        legacy = RandomSearch(tiny_graph, loop_training_config, num_blocks=6, seed=5).run(
-            max_evaluations=5
-        )
-        assert new.anytime_curve() == legacy.anytime_curve()
-        assert [r.structure.key() for r in new.records] == [
-            r.structure.key() for r in legacy.records
-        ]
-
-    def test_bayes_parity(self, tiny_graph, loop_training_config):
-        spec = ExperimentSpec(
-            seed=5, search=SearchSpec(strategy="bayes", num_blocks=6, pool_size=8)
-        )
-        new = SearchLoop(
-            tiny_graph, create_strategy(spec), loop_training_config, seed=5
-        ).run(max_evaluations=4)
-        legacy = BayesSearch(
-            tiny_graph, loop_training_config, num_blocks=6, pool_size=8, seed=5
-        ).run(max_evaluations=4)
-        assert new.anytime_curve() == legacy.anytime_curve()
-        assert [r.structure.key() for r in new.records] == [
-            r.structure.key() for r in legacy.records
-        ]
 
 
 class TestLoopMechanics:
@@ -278,15 +218,3 @@ class TestSharedStore:
         warm, second = run_once()
         assert warm.evaluator.num_trained == 0
         assert second.anytime_curve() == first.anytime_curve()
-
-    def test_legacy_baseline_accepts_store(self, tiny_graph, loop_training_config, tmp_path):
-        """The shimmed RandomSearch can now reuse a persistent store too."""
-        store = EvaluationStore(tmp_path)
-        first = RandomSearch(tiny_graph, loop_training_config, num_blocks=6, seed=2, store=store)
-        first.run(max_evaluations=3)
-        assert first.evaluator.num_trained == 3
-        second = RandomSearch(
-            tiny_graph, loop_training_config, num_blocks=6, seed=2, store=EvaluationStore(tmp_path)
-        )
-        second.run(max_evaluations=3)
-        assert second.evaluator.num_trained == 0

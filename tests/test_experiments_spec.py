@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.execution import ProcessPoolBackend
 from repro.experiments import (
     BackendSpec,
     DatasetSpec,
@@ -9,6 +10,8 @@ from repro.experiments import (
     ExportSpec,
     HPOSpec,
     ObsSpec,
+    SchedulerSpec,
+    SearchLoop,
     SearchSpec,
     load_spec,
     spec_digest,
@@ -213,20 +216,24 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentSpec.load(path)
 
-    def test_search_config_assembly(self):
+    def test_search_config_assembly(self, tiny_graph):
         spec = ExperimentSpec(
             seed=3,
             search=SearchSpec(max_blocks=8, candidates_per_step=16),
             predictor=PredictorConfig(feature_type="onehot", hidden_units=8),
             backend=BackendSpec(backend="process", num_workers=2),
+            scheduler=SchedulerSpec(enabled=True),
         )
-        config = spec.search_config(cache_dir="runs/x")
-        assert config.max_blocks == 8
-        assert config.seed == 3
-        assert config.backend == "process"
-        assert config.num_workers == 2
-        assert config.predictor.feature_type == "onehot"
-        assert config.cache_dir == "runs/x"
+        loop = SearchLoop.from_spec(spec, tiny_graph)
+        assert loop.strategy.max_blocks == 8
+        assert loop.strategy.candidates_per_step == 16
+        assert loop.strategy.predictor.config.feature_type == "onehot"
+        assert loop.seed == 3
+        assert loop.evaluator.base_seed == 3
+        assert isinstance(loop.backend, ProcessPoolBackend)
+        assert loop.backend.num_workers == 2
+        assert loop.scheduler is not None
+        assert loop.training_config == spec.training
 
 
 class TestTolerantConfigLoading:
@@ -240,22 +247,18 @@ class TestTolerantConfigLoading:
         assert config == TrainingConfig()
 
     def test_search_config_unknown_key_warns(self):
-        from repro.utils.config import SearchConfig
-
-        data = SearchConfig().to_dict()
-        data["strategy"] = "greedy"  # a newer spec field the old code ignores
-        with pytest.warns(UserWarning, match="strategy"):
-            config = SearchConfig.from_dict(data)
-        assert config.max_blocks == SearchConfig().max_blocks
+        data = SearchSpec().to_dict()
+        data["population"] = 32  # a newer spec field this release ignores
+        with pytest.warns(UserWarning, match="population"):
+            search = SearchSpec.from_dict(data)
+        assert search == SearchSpec()
 
     def test_nested_predictor_unknown_key_warns(self):
-        from repro.utils.config import SearchConfig
-
-        data = SearchConfig().to_dict()
+        data = ExperimentSpec().to_dict()
         data["predictor"]["ensemble_size"] = 5
         with pytest.warns(UserWarning, match="ensemble_size"):
-            config = SearchConfig.from_dict(data)
-        assert isinstance(config.predictor, PredictorConfig)
+            spec = ExperimentSpec.from_dict(data)
+        assert spec.predictor == PredictorConfig()
 
     def test_type_violation_names_field(self):
         with pytest.raises(ConfigError, match="TrainingConfig.epochs"):

@@ -6,10 +6,14 @@ import pytest
 pytestmark = pytest.mark.slow  # tier 2: run with --runslow
 
 from repro.analysis import CaseStudy, transfer_matrix
-from repro.core import AutoSFSearch, CandidateEvaluator, RandomSearch
+from repro.core import CandidateEvaluator
 from repro.datasets import dataset_statistics, load_benchmark
+from repro.experiments import ExperimentSpec, SearchLoop, SearchSpec
 from repro.kge import train_model
-from repro.utils.config import PredictorConfig, SearchConfig, TrainingConfig
+from repro.utils.config import PredictorConfig, TrainingConfig
+
+#: The small greedy configuration the comparison and transfer tests share.
+SMALL_GREEDY = dict(max_blocks=6, candidates_per_step=8, top_parents=3, train_per_step=2)
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +28,12 @@ def training_config():
 
 @pytest.fixture(scope="module")
 def search_result(benchmark_graph, training_config):
-    search_config = SearchConfig(
-        max_blocks=6,
-        candidates_per_step=12,
-        top_parents=4,
-        train_per_step=4,
-        predictor=PredictorConfig(epochs=100),
+    spec = ExperimentSpec(
         seed=0,
+        search=SearchSpec(max_blocks=6, candidates_per_step=12, top_parents=4, train_per_step=4),
+        predictor=PredictorConfig(epochs=100),
     )
-    return AutoSFSearch(benchmark_graph, training_config, search_config).run()
+    return SearchLoop.from_spec(spec, benchmark_graph, training_config=training_config).run()
 
 
 class TestSearchPipeline:
@@ -72,15 +73,17 @@ class TestSharedEvaluatorComparison:
         """Fig. 6 sanity: with a shared evaluator both searchers run and report curves."""
         evaluator = CandidateEvaluator(benchmark_graph, training_config)
         budget = 6
-        greedy = AutoSFSearch(
+        greedy = SearchLoop.from_spec(
+            ExperimentSpec(seed=1, search=SearchSpec(**SMALL_GREEDY)),
             benchmark_graph,
-            training_config,
-            SearchConfig(max_blocks=6, candidates_per_step=8, top_parents=3, train_per_step=2, seed=1),
+            training_config=training_config,
             evaluator=evaluator,
         ).run(max_evaluations=budget)
-        random = RandomSearch(benchmark_graph, training_config, num_blocks=6, seed=1).run(
-            max_evaluations=budget
-        )
+        random = SearchLoop.from_spec(
+            ExperimentSpec(seed=1, search=SearchSpec(strategy="random", num_blocks=6)),
+            benchmark_graph,
+            training_config=training_config,
+        ).run(max_evaluations=budget)
         assert len(greedy.anytime_curve()) <= budget
         assert len(random.anytime_curve()) == budget
         assert greedy.best_mrr > 0 and random.best_mrr > 0
@@ -89,10 +92,10 @@ class TestSharedEvaluatorComparison:
 class TestTransferSmoke:
     def test_two_dataset_transfer(self, benchmark_graph, training_config, search_result):
         other = load_benchmark("fb15k237", scale=0.25)
-        other_search = AutoSFSearch(
+        other_search = SearchLoop.from_spec(
+            ExperimentSpec(seed=0, search=SearchSpec(**SMALL_GREEDY)),
             other,
-            training_config,
-            SearchConfig(max_blocks=6, candidates_per_step=8, top_parents=3, train_per_step=2, seed=0),
+            training_config=training_config,
         ).run(max_evaluations=7)
         result = transfer_matrix(
             {benchmark_graph.name: benchmark_graph, other.name: other},

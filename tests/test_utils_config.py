@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.utils.config import PredictorConfig, SearchConfig, TrainingConfig
+from repro.experiments import ExperimentSpec, SearchSpec
+from repro.utils.config import PredictorConfig, TrainingConfig
 
 
 class TestTrainingConfig:
@@ -73,35 +74,31 @@ class TestPredictorConfig:
 
 
 class TestSearchConfig:
+    """Alg. 2's meta hyper-parameters: the ``search`` section of a spec."""
+
     def test_defaults(self):
-        config = SearchConfig()
-        assert config.max_blocks >= 4
-        assert isinstance(config.predictor, PredictorConfig)
+        spec = ExperimentSpec()
+        assert spec.search.max_blocks >= 4
+        assert isinstance(spec.predictor, PredictorConfig)
 
     def test_odd_max_blocks(self):
-        with pytest.raises(ValueError):
-            SearchConfig(max_blocks=7)
+        with pytest.raises(ValueError, match="SearchSpec.max_blocks"):
+            SearchSpec(max_blocks=7)
 
     def test_too_small_max_blocks(self):
-        with pytest.raises(ValueError):
-            SearchConfig(max_blocks=2)
+        with pytest.raises(ValueError, match="SearchSpec.max_blocks"):
+            SearchSpec(max_blocks=2)
 
     def test_bad_counts(self):
-        with pytest.raises(ValueError):
-            SearchConfig(candidates_per_step=0)
-        with pytest.raises(ValueError):
-            SearchConfig(top_parents=0)
-        with pytest.raises(ValueError):
-            SearchConfig(train_per_step=0)
+        for name in ("candidates_per_step", "top_parents", "train_per_step"):
+            with pytest.raises(ValueError, match=f"SearchSpec.{name}"):
+                SearchSpec(**{name: 0})
 
     def test_predictor_dict_coerced(self):
-        config = SearchConfig(predictor={"feature_type": "onehot", "hidden_units": 4})
-        assert isinstance(config.predictor, PredictorConfig)
-        assert config.predictor.hidden_units == 4
+        spec = ExperimentSpec(predictor={"feature_type": "onehot", "hidden_units": 4})
+        assert isinstance(spec.predictor, PredictorConfig)
+        assert spec.predictor.hidden_units == 4
 
     def test_round_trip_dict(self):
-        config = SearchConfig(max_blocks=8, candidates_per_step=32)
-        rebuilt = SearchConfig.from_dict(config.to_dict())
-        assert rebuilt.max_blocks == 8
-        assert rebuilt.candidates_per_step == 32
-        assert isinstance(rebuilt.predictor, PredictorConfig)
+        search = SearchSpec(max_blocks=8, candidates_per_step=32)
+        assert SearchSpec.from_dict(search.to_dict()) == search
