@@ -14,7 +14,7 @@ Each area file has the shared schema written by
 ``revision`` / ``config`` / ``metrics``), so comparing a file across
 revisions — or across CI artifact uploads — gives the perf trajectory of
 the project without re-running old checkouts.  A bench whose acceptance
-assertion fails (e.g. the sparse engine dropping below its speedup floor)
+assertion fails (e.g. pairwise training dropping below its speedup floor)
 fails the whole run.
 """
 

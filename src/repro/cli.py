@@ -52,12 +52,10 @@ The subcommands cover the common workflows without writing any Python:
 ``stats``/``train``/``search`` accept either ``--benchmark <name>`` (one of
 the built-in miniatures) or ``--data <dir>`` (a directory with ``train.txt``
 / ``valid.txt`` / ``test.txt`` in the standard tab-separated format).
-``train`` and ``search`` additionally take ``--train-engine
-{batched,reference,sparse}`` (the fused fast path, the parity-oracle loop,
-or the touched-rows-only engine for pairwise losses) and
-``--score-chunk-size N`` (bound training memory by scoring candidates in
-entity chunks); both travel inside the training config, so worker processes
-use the same engine as in-process runs.
+``train`` and ``search`` additionally take ``--score-chunk-size N`` (bound
+multi-class training memory by scoring candidates in entity chunks); it
+travels inside the training config, so worker processes train exactly like
+in-process runs.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ from repro.serving import (
     serve_forever,
     validate_serve_options,
 )
-from repro.utils.config import TRAIN_ENGINES, ConfigError, TrainingConfig
+from repro.utils.config import ConfigError, TrainingConfig
 
 
 def _positive_int(value: str) -> int:
@@ -160,19 +158,10 @@ def _add_training_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--learning-rate", type=float, default=0.5, help="Adagrad learning rate")
     group.add_argument("--l2", type=float, default=1e-4, help="L2 penalty")
     group.add_argument(
-        "--train-engine",
-        choices=TRAIN_ENGINES,
-        default="batched",
-        help="per-batch training engine: 'batched' is the fused fast path, "
-        "'reference' the original loop kept as the parity oracle, 'sparse' "
-        "updates only the rows each batch touches (pairwise losses) "
-        "(default: batched)",
-    )
-    group.add_argument(
         "--score-chunk-size",
         type=_positive_int,
         default=None,
-        help="entity-chunk size for the batched engine's candidate scoring; "
+        help="entity-chunk size for multi-class candidate scoring; "
         "bounds peak training memory at batch-size x chunk scores "
         "(default: score all entities at once)",
     )
@@ -218,7 +207,6 @@ def _training_config_from_args(args: argparse.Namespace) -> TrainingConfig:
         learning_rate=args.learning_rate,
         l2_penalty=args.l2,
         seed=args.seed,
-        train_engine=args.train_engine,
         score_chunk_size=args.score_chunk_size if args.score_chunk_size is not None else 0,
         eval_every=args.eval_every if args.eval_every is not None else 0,
         early_stopping_patience=args.patience if args.patience is not None else 0,

@@ -113,9 +113,9 @@ def evaluate_candidate(context: EvaluationContext, task: EvaluationTask) -> Eval
 
     This is the unit of work every backend executes; it must stay free of
     shared mutable state so that serial and parallel execution are
-    interchangeable.  The training engine (``config.train_engine`` /
-    ``config.score_chunk_size``) travels inside the config, so worker
-    processes build the same engine as in-process execution.  When
+    interchangeable.  The loss and ``config.score_chunk_size`` travel
+    inside the config, so worker processes build the same training engine
+    as in-process execution.  When
     ``config.eval_every > 0`` training tracks filtered validation MRR,
     enabling early stopping and the trainer's best-checkpoint restore — the
     reported ``validation_mrr`` is then measured on the best checkpoint, not

@@ -13,21 +13,14 @@ training and evaluation pipeline of Alg. 1 of the AutoSF paper:
 * :mod:`repro.kge.optimizers` — Adagrad (the paper's optimizer), Adam, SGD.
 * :mod:`repro.kge.trainer` — the stochastic training loop (epochs,
   validation, early stopping with best-checkpoint restore).
-* :mod:`repro.kge.engine` — pluggable per-batch training engines: the
-  fused, entity-chunked ``"batched"`` fast path, the touched-rows-only
-  ``"sparse"`` engine for pairwise losses and the ``"reference"`` loop kept
-  as the parity oracle.
+* :mod:`repro.kge.engine` — the per-batch training engine, whose kernel the
+  loss picks (entity-chunked multi-class or touched-rows pairwise), and the
+  reference loop kept as the parity oracle.
 * :mod:`repro.kge.evaluation` — filtered link-prediction metrics (MRR,
   Hits@k) and triplet classification.
 """
 
-from repro.kge.engine import (
-    BatchedTrainEngine,
-    ReferenceTrainEngine,
-    SparseTrainEngine,
-    TrainEngine,
-    get_train_engine,
-)
+from repro.kge.engine import ReferenceTrainEngine, TrainEngine
 from repro.kge.model import (
     KGEModel,
     ModelLoadError,
@@ -58,11 +51,8 @@ from repro.kge.scoring import (
 )
 
 __all__ = [
-    "BatchedTrainEngine",
     "ReferenceTrainEngine",
-    "SparseTrainEngine",
     "TrainEngine",
-    "get_train_engine",
     "KGEModel",
     "ModelLoadError",
     "require_graph_matches_params",

@@ -1,63 +1,50 @@
-"""Training engines: how one mini-batch's loss and gradients are computed.
+"""The training engine: how one mini-batch's loss and gradients are computed.
 
 The trainer (Alg. 1 of the paper) is split into two layers.  The *loop* —
 epochs, shuffling, validation, early stopping, checkpoint restore — lives in
 :class:`repro.kge.trainer.Trainer`.  The *engine* — turning one mini-batch
-into a parameter update — lives here, behind a small strategy interface,
-because it is the hot path that dominates every candidate evaluation of the
-greedy search:
+into a parameter update — lives here, because it is the hot path that
+dominates every candidate evaluation of the greedy search.
 
-* :class:`ReferenceTrainEngine` is the original per-direction Python loop:
-  score all candidates, hand the full matrix to the loss, backpropagate.
-  It is deliberately left untouched and serves as the parity oracle, in the
-  same spirit as :func:`repro.kge.evaluation.compute_ranks_reference`.
-* :class:`BatchedTrainEngine` computes the same quantities through the
-  chunk-aware scoring interface (``begin_candidate_pass`` /
-  ``score_candidates_chunk`` / ``grad_candidates_chunk`` /
-  ``finish_candidate_pass``): per-query work is hoisted out of the
-  per-entity loop, block structures collapse into single GEMMs, and with
-  ``TrainingConfig.score_chunk_size > 0`` the multi-class loss streams over
-  entity chunks (two-pass log-sum-exp) so peak memory stays bounded by
-  ``batch_size * score_chunk_size`` scores no matter how large the entity
-  vocabulary grows.
-* :class:`SparseTrainEngine` makes pairwise-loss training *embedding-bound*
-  instead of FLOP-bound: scores and gradients are computed only for the
-  entity rows a batch actually touches (positives plus sampled corruptions,
-  deduplicated), gradients land in compact ``(unique_rows, dim)`` buffers,
-  and the optimizer applies in-place per-row updates through
-  :meth:`repro.kge.optimizers.Optimizer.step_sparse`.  Per-batch cost scales
-  with the batch, not the vocabulary.  Multi-class batches (which need the
-  full softmax, hence every entity) delegate to the batched engine.
+:class:`TrainEngine` picks its kernel from the loss alone:
 
-All engines produce the same per-epoch losses and final parameters up to
-floating-point round-off (the parity tests pin this at ``atol=1e-10``); the
-batched engine is the default (``TrainingConfig.train_engine``).  Pairwise
-losses need sampled negatives and touch only a handful of score columns, so
-the batched engine delegates those batches to the reference path — and the
-sparse engine is the fast path for exactly that workload.  Two documented
-deviations of the sparse engine from dense semantics: regularization is
-*lazy* (the penalty gradient is applied only to the rows the batch touched;
-exact parity therefore requires a zero regularization weight) and Adam uses
-the standard lazy-moment sparse variant (see
-:meth:`repro.kge.optimizers.Adam.step_sparse`).  SGD and Adagrad sparse
-steps are exactly equivalent to dense steps with zero gradients outside the
-touched rows.
+* **multi-class** (the paper's setup) needs the full softmax over every
+  entity, so it goes through the chunk-aware scoring interface
+  (``begin_candidate_pass`` / ``score_candidates_chunk`` /
+  ``grad_candidates_chunk`` / ``finish_candidate_pass``): per-query work is
+  hoisted out of the per-entity loop, block structures collapse into single
+  GEMMs, and with ``TrainingConfig.score_chunk_size > 0`` the softmax
+  streams over entity chunks (two-pass log-sum-exp) so peak memory stays
+  bounded by ``batch_size * score_chunk_size`` scores;
+* **pairwise** losses read one positive and a few sampled corruptions per
+  query, so :func:`touched_rows_batch` scores and differentiates only the
+  entity rows the batch touches and the result is scattered into the dense
+  gradient.
+
+Both kernels then share the dense update: the regularizer gradient over
+every row and :meth:`repro.kge.optimizers.Optimizer.step`.  Training is
+therefore exact at any ``l2_penalty`` and with any optimizer.
+:class:`ReferenceTrainEngine`, the original per-direction loop, is kept only
+as the parity oracle that tests and the training benchmark pass explicitly
+through ``Trainer(engine=...)``, in the same spirit as
+:func:`repro.kge.evaluation.compute_ranks_reference`; the two agree at
+``atol=1e-10``.  The lazy touched-rows update (regularizer on the gathered
+rows plus :meth:`~repro.kge.optimizers.Optimizer.step_sparse`) lives next to
+its only caller, :mod:`repro.live.finetune`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.kge.losses import StreamingMulticlass, multiclass_inplace
-from repro.kge.negative_sampling import UniformNegativeSampler
+from repro.kge.negative_sampling import NegativeSampler, UniformNegativeSampler
 from repro.kge.scoring.base import HEAD, TAIL, ParamDict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.kge.trainer import Trainer
-    from repro.utils.config import TrainingConfig
 
 
 def entity_chunks(num_entities: int, chunk_size: int) -> Iterator[Tuple[int, int]]:
@@ -79,13 +66,49 @@ def _direction_queries(batch: np.ndarray, direction: str) -> Tuple[np.ndarray, n
     return batch[:, [2, 1]], batch[:, 0]
 
 
-class TrainEngine(ABC):
-    """Strategy interface: accumulate one mini-batch's loss and gradients."""
+def _ensure_sampler(trainer: "Trainer", params: ParamDict) -> NegativeSampler:
+    """The trainer's negative sampler, created uniform on first use."""
+    if trainer.negative_sampler is None:
+        trainer.negative_sampler = UniformNegativeSampler(
+            num_entities=params["entities"].shape[0],
+            num_negatives=trainer.config.negative_samples,
+            rng=trainer.rng,
+        )
+    return trainer.negative_sampler
 
-    #: Configuration name of the engine (set by subclasses).
-    name: str = "train-engine"
 
-    @abstractmethod
+class TrainEngine:
+    """One mini-batch update; the loss decides which kernel computes it.
+
+    Parameters
+    ----------
+    score_chunk_size:
+        Candidate-entity chunk size of the multi-class kernel.  ``0`` scores
+        the whole vocabulary in one pass (fastest); a positive value streams
+        the softmax over chunks in two passes, bounding peak memory at one
+        ``(batch, chunk)`` score block at the cost of re-scoring each chunk
+        once for the gradient.  Pairwise batches never score the whole
+        vocabulary, so they ignore it.
+    """
+
+    def __init__(self, score_chunk_size: int = 0) -> None:
+        if score_chunk_size < 0:
+            raise ValueError("score_chunk_size must be non-negative")
+        self.score_chunk_size = int(score_chunk_size)
+
+    def train_step(self, trainer: "Trainer", params: ParamDict, batch: np.ndarray) -> float:
+        """Run one full mini-batch update in place; return the batch loss.
+
+        Allocate a dense gradient dict, let :meth:`accumulate_batch` fill
+        it, add the regularizer gradient and hand everything to
+        :meth:`Optimizer.step`.
+        """
+        grads = trainer.scoring_function.zero_grads(params)
+        value = self.accumulate_batch(trainer, params, batch, grads)
+        trainer.regularizer.add_gradients(params, grads)
+        trainer.optimizer.step(params, grads)
+        return value
+
     def accumulate_batch(
         self,
         trainer: "Trainer",
@@ -99,74 +122,18 @@ class TrainEngine(ABC):
         quantity the trainer averages into the epoch loss.  Regularization
         and the optimizer step stay with :meth:`train_step`.
         """
-
-    def train_step(self, trainer: "Trainer", params: ParamDict, batch: np.ndarray) -> float:
-        """Run one full mini-batch update in place; return the batch loss.
-
-        The default is the dense flow: allocate a full gradient dict, let
-        :meth:`accumulate_batch` fill it, add the regularizer gradient and
-        hand everything to :meth:`Optimizer.step`.  Engines with their own
-        update structure (the sparse engine) override this wholesale.
-        """
-        grads = trainer.scoring_function.zero_grads(params)
-        value = self.accumulate_batch(trainer, params, batch, grads)
-        trainer.regularizer.add_gradients(params, grads)
-        trainer.optimizer.step(params, grads)
-        return value
-
-    def __repr__(self) -> str:  # pragma: no cover - repr formatting
-        return f"{type(self).__name__}()"
-
-
-class ReferenceTrainEngine(TrainEngine):
-    """The original per-direction loop, kept verbatim as the parity oracle."""
-
-    name = "reference"
-
-    def accumulate_batch(
-        self,
-        trainer: "Trainer",
-        params: ParamDict,
-        batch: np.ndarray,
-        grads: ParamDict,
-    ) -> float:
-        loss_tail = trainer._direction_loss(params, batch, TAIL, grads)
-        loss_head = trainer._direction_loss(params, batch, HEAD, grads)
-        return loss_tail + loss_head
-
-
-class BatchedTrainEngine(TrainEngine):
-    """Fused, chunk-aware batch computation for the multi-class loss.
-
-    Parameters
-    ----------
-    score_chunk_size:
-        Candidate-entity chunk size.  ``0`` scores the whole vocabulary in
-        one pass (fastest); a positive value streams the softmax over chunks
-        in two passes, bounding peak memory at one ``(batch, chunk)`` score
-        block at the cost of re-scoring each chunk once for the gradient.
-    """
-
-    name = "batched"
-
-    def __init__(self, score_chunk_size: int = 0) -> None:
-        if score_chunk_size < 0:
-            raise ValueError("score_chunk_size must be non-negative")
-        self.score_chunk_size = int(score_chunk_size)
-        self._fallback = ReferenceTrainEngine()
-
-    def accumulate_batch(
-        self,
-        trainer: "Trainer",
-        params: ParamDict,
-        batch: np.ndarray,
-        grads: ParamDict,
-    ) -> float:
         if trainer.loss.needs_negative_samples:
-            # Pairwise losses only read a handful of sampled score columns;
-            # the all-candidate machinery below buys nothing there, so keep
-            # the (bitwise-identical) reference path.
-            return self._fallback.accumulate_batch(trainer, params, batch, grads)
+            value, entities, relations, _sub_params, blocks = touched_rows_batch(
+                trainer, params, batch
+            )
+            for key, block in blocks.items():
+                if key == "entities":
+                    grads[key][entities] += block
+                elif key == "relations":
+                    grads[key][relations] += block
+                else:
+                    grads[key] += block
+            return value
         value = 0.0
         for direction in (TAIL, HEAD):
             value += self._direction_multiclass(trainer, params, batch, direction, grads)
@@ -224,60 +191,16 @@ class BatchedTrainEngine(TrainEngine):
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
-        return f"BatchedTrainEngine(score_chunk_size={self.score_chunk_size})"
+        return f"{type(self).__name__}(score_chunk_size={self.score_chunk_size})"
 
 
-class SparseTrainEngine(TrainEngine):
-    """Touched-rows-only batch computation for pairwise (sampled) losses.
+class ReferenceTrainEngine(TrainEngine):
+    """The original per-direction loop, kept as the parity oracle.
 
-    The reference and batched engines score every query against the *whole*
-    entity vocabulary even though a pairwise loss reads just one positive and
-    ``negative_samples`` corrupted columns per query — so their per-batch
-    cost is O(batch x vocabulary).  This engine instead:
-
-    1. samples both directions' corruptions up front (same RNG draw order as
-       the reference loop, so the two engines stay comparable seed-for-seed);
-    2. collects the **unique** touched entity/relation indices of the batch
-       — query entities, positives and corruptions together — and gathers
-       their rows once into compact sub-tables.  Corrupted samples drawn for
-       several positives are deduplicated here, so each shared corruption is
-       embedded and scored through one column of one pass instead of once
-       per positive that drew it;
-    3. runs the family's own ``score_candidates`` / ``grad_candidates`` on
-       the compact sub-problem (entity/relation indices remapped into the
-       sub-tables), which scatter-adds into ``(unique_rows, dim)`` gradient
-       blocks instead of dense vocabulary-sized arrays — every scoring
-       family works unmodified, because a gathered sub-table is
-       indistinguishable from a small vocabulary;
-    4. hands ``(indices, block)`` sparse gradients to
-       :meth:`repro.kge.optimizers.Optimizer.step_sparse`, so optimizer
-       state updates are O(touched rows) as well.
-
-    Globally-shared parameters (e.g. the MLP scorer's network weights) pass
-    through densely — they are small and genuinely touched by every batch.
-
-    Semantics vs the reference engine: losses and gradients match at
-    ``atol=1e-10``.  Regularization is *lazy* — the penalty gradient is
-    applied only to the touched rows, the standard sparse-training
-    approximation (exact parity therefore requires ``l2_penalty=0``), and
-    Adam updates are the lazy-moment variant.  SGD and Adagrad training runs
-    are exactly equivalent to the reference engine when the regularization
-    weight is zero.
-
-    Multi-class batches need the full softmax over every entity, so they
-    delegate to a :class:`BatchedTrainEngine` (with the configured
-    ``score_chunk_size``).
+    Every query is scored against the whole vocabulary and the full score
+    matrix goes to the loss, whatever the loss.  Nothing builds it by
+    default; tests and benchmarks pass it through ``Trainer(engine=...)``.
     """
-
-    name = "sparse"
-
-    def __init__(self, score_chunk_size: int = 0) -> None:
-        self._fallback = BatchedTrainEngine(score_chunk_size=score_chunk_size)
-
-    @property
-    def score_chunk_size(self) -> int:
-        """Chunk size used by the multi-class fallback engine."""
-        return self._fallback.score_chunk_size
 
     def accumulate_batch(
         self,
@@ -286,138 +209,103 @@ class SparseTrainEngine(TrainEngine):
         batch: np.ndarray,
         grads: ParamDict,
     ) -> float:
-        if not trainer.loss.needs_negative_samples:
-            return self._fallback.accumulate_batch(trainer, params, batch, grads)
-        value, touched_entities, touched_relations, _sub_params, blocks = self._sparse_batch(
-            trainer, params, batch
-        )
-        for key, block in blocks.items():
-            if key == "entities":
-                grads[key][touched_entities] += block
-            elif key == "relations":
-                grads[key][touched_relations] += block
-            else:
-                grads[key] += block
-        return value
-
-    def train_step(self, trainer: "Trainer", params: ParamDict, batch: np.ndarray) -> float:
-        if not trainer.loss.needs_negative_samples:
-            return self._fallback.train_step(trainer, params, batch)
-        value, touched_entities, touched_relations, sub_params, blocks = self._sparse_batch(
-            trainer, params, batch
-        )
-        # Lazy regularization: the penalty gradient of exactly the touched
-        # rows (the gathered sub-tables *are* those parameter rows).
-        trainer.regularizer.add_gradients(sub_params, blocks)
-        sparse_grads: Dict[str, object] = {}
-        for key, block in blocks.items():
-            if key == "entities":
-                sparse_grads[key] = (touched_entities, block)
-            elif key == "relations":
-                sparse_grads[key] = (touched_relations, block)
-            else:
-                sparse_grads[key] = block
-        trainer.optimizer.step_sparse(params, sparse_grads)
-        return value
-
-    @staticmethod
-    def _ensure_sampler(trainer: "Trainer", params: ParamDict):
-        """Mirror the reference loop's lazy sampler creation exactly."""
-        if trainer.negative_sampler is None:
-            trainer.negative_sampler = UniformNegativeSampler(
-                num_entities=params["entities"].shape[0],
-                num_negatives=trainer.config.negative_samples,
-                rng=trainer.rng,
-            )
-        return trainer.negative_sampler
-
-    def _sparse_batch(
-        self, trainer: "Trainer", params: ParamDict, batch: np.ndarray
-    ) -> Tuple[float, np.ndarray, np.ndarray, ParamDict, ParamDict]:
-        """Loss and compact gradient blocks of one pairwise-loss batch.
-
-        Returns ``(loss, touched_entities, touched_relations, sub_params,
-        blocks)`` where ``blocks["entities"]`` has one row per touched
-        entity (aligned with ``touched_entities``, which is sorted/unique),
-        ``blocks["relations"]`` likewise, and any other key holds a dense
-        full-shape gradient.  Regularization is *not* applied here.
-        """
-        scoring_function = trainer.scoring_function
-        batch = np.asarray(batch, dtype=np.int64)
-        heads, relations, tails = batch[:, 0], batch[:, 1], batch[:, 2]
-        sampler = self._ensure_sampler(trainer, params)
-        # Same RNG draw order as the reference loop: tail direction first.
-        negatives = {
-            TAIL: sampler.sample(tails, relations=relations),
-            HEAD: sampler.sample(heads, relations=relations),
-        }
-
-        touched_entities = np.unique(
-            np.concatenate(
-                [heads, tails, negatives[TAIL].ravel(), negatives[HEAD].ravel()]
-            )
-        )
-        touched_relations = np.unique(relations)
-
-        # Gather the touched rows once; every other parameter key (MLP
-        # weights etc.) passes through by reference.  Scoring functions see
-        # an ordinary (small) vocabulary.
-        sub_params = dict(params)
-        sub_params["entities"] = params["entities"][touched_entities]
-        sub_params["relations"] = params["relations"][touched_relations]
-        heads_c = np.searchsorted(touched_entities, heads)
-        tails_c = np.searchsorted(touched_entities, tails)
-        relations_c = np.searchsorted(touched_relations, relations)
-
         value = 0.0
-        blocks: Optional[ParamDict] = None
         for direction in (TAIL, HEAD):
-            if direction == TAIL:
-                queries_c = np.stack([heads_c, relations_c], axis=1)
-                targets = tails
-            else:
-                queries_c = np.stack([tails_c, relations_c], axis=1)
-                targets = heads
-            direction_negatives = negatives[direction]
-            # One deduplicated candidate column per distinct touched entity
-            # of this direction: corruptions shared across positives are
-            # scored once.
-            columns = np.unique(np.concatenate([targets, direction_negatives.ravel()]))
-            candidates_c = np.searchsorted(touched_entities, columns)
-            scores = scoring_function.score_candidates(
-                sub_params, queries_c, direction=direction, candidates=candidates_c
+            queries, targets = _direction_queries(batch, direction)
+            scores = trainer.scoring_function.score_candidates(
+                params, queries, direction=direction
             )
-            direction_value, dscores = trainer.loss.compute(
-                scores,
-                np.searchsorted(columns, targets),
-                negatives=np.searchsorted(columns, direction_negatives),
+            negatives = None
+            if trainer.loss.needs_negative_samples:
+                negatives = _ensure_sampler(trainer, params).sample(
+                    targets, relations=batch[:, 1]
+                )
+            direction_value, dscores = trainer.loss.compute(scores, targets, negatives=negatives)
+            direction_grads = trainer.scoring_function.grad_candidates(
+                params, queries, dscores, direction=direction
             )
+            for key, grad in direction_grads.items():
+                grads[key] += grad
             value += direction_value
-            direction_blocks = scoring_function.grad_candidates(
-                sub_params, queries_c, dscores, direction=direction, candidates=candidates_c
-            )
-            if blocks is None:
-                blocks = direction_blocks
-            else:
-                for key, block in direction_blocks.items():
-                    blocks[key] += block
-        return value, touched_entities, touched_relations, sub_params, blocks
-
-    def __repr__(self) -> str:  # pragma: no cover - repr formatting
-        return f"SparseTrainEngine(score_chunk_size={self.score_chunk_size})"
+        return value
 
 
-def get_train_engine(config: "TrainingConfig") -> TrainEngine:
-    """Instantiate the engine named by ``config.train_engine``."""
-    from repro.utils.config import TRAIN_ENGINES, ConfigError
+def touched_rows_batch(
+    trainer: "Trainer", params: ParamDict, batch: np.ndarray
+) -> Tuple[float, np.ndarray, np.ndarray, ParamDict, ParamDict]:
+    """Loss and compact gradient blocks of one pairwise-loss batch.
 
-    if config.train_engine == "reference":
-        return ReferenceTrainEngine()
-    if config.train_engine == "batched":
-        return BatchedTrainEngine(score_chunk_size=config.score_chunk_size)
-    if config.train_engine == "sparse":
-        return SparseTrainEngine(score_chunk_size=config.score_chunk_size)
-    raise ConfigError(
-        f"TrainingConfig.train_engine: unknown engine {config.train_engine!r} "
-        f"(available: {', '.join(TRAIN_ENGINES)})"
+    Scoring every query against the whole vocabulary costs
+    O(batch x vocabulary) although a pairwise loss reads just one positive
+    and ``negative_samples`` corrupted columns per query.  This kernel
+    instead:
+
+    1. samples both directions' corruptions up front (tail direction first,
+       the reference loop's RNG draw order, so both stay comparable
+       seed-for-seed);
+    2. collects the **unique** touched entity/relation indices — query
+       entities, positives and corruptions — and gathers their rows once
+       into compact sub-tables, so a corruption shared by several positives
+       is embedded and scored through one column;
+    3. runs the family's own ``score_candidates`` / ``grad_candidates`` on
+       the compact sub-problem (indices remapped into the sub-tables): a
+       gathered sub-table is indistinguishable from a small vocabulary, so
+       every scoring family works unmodified.
+
+    Returns ``(loss, touched_entities, touched_relations, sub_params,
+    blocks)`` where ``blocks["entities"]`` has one row per touched entity
+    (aligned with the sorted, unique ``touched_entities``),
+    ``blocks["relations"]`` likewise, and any other key (e.g. the MLP
+    scorer's network weights) holds a dense full-shape gradient.
+    Regularization is *not* applied here.
+    """
+    scoring_function = trainer.scoring_function
+    batch = np.asarray(batch, dtype=np.int64)
+    heads, relations, tails = batch[:, 0], batch[:, 1], batch[:, 2]
+    sampler = _ensure_sampler(trainer, params)
+    negatives = {
+        TAIL: sampler.sample(tails, relations=relations),
+        HEAD: sampler.sample(heads, relations=relations),
+    }
+
+    touched_entities = np.unique(
+        np.concatenate([heads, tails, negatives[TAIL].ravel(), negatives[HEAD].ravel()])
     )
+    touched_relations = np.unique(relations)
+
+    # Gather the touched rows once; every other parameter key passes
+    # through by reference.
+    sub_params = dict(params)
+    sub_params["entities"] = params["entities"][touched_entities]
+    sub_params["relations"] = params["relations"][touched_relations]
+    heads_c = np.searchsorted(touched_entities, heads)
+    tails_c = np.searchsorted(touched_entities, tails)
+    relations_c = np.searchsorted(touched_relations, relations)
+
+    value = 0.0
+    blocks: Optional[ParamDict] = None
+    for direction, query_entities, targets in ((TAIL, heads_c, tails), (HEAD, tails_c, heads)):
+        queries_c = np.stack([query_entities, relations_c], axis=1)
+        direction_negatives = negatives[direction]
+        # One deduplicated candidate column per distinct touched entity of
+        # this direction: corruptions shared across positives score once.
+        columns = np.unique(np.concatenate([targets, direction_negatives.ravel()]))
+        candidates_c = np.searchsorted(touched_entities, columns)
+        scores = scoring_function.score_candidates(
+            sub_params, queries_c, direction=direction, candidates=candidates_c
+        )
+        direction_value, dscores = trainer.loss.compute(
+            scores,
+            np.searchsorted(columns, targets),
+            negatives=np.searchsorted(columns, direction_negatives),
+        )
+        value += direction_value
+        direction_blocks = scoring_function.grad_candidates(
+            sub_params, queries_c, dscores, direction=direction, candidates=candidates_c
+        )
+        if blocks is None:
+            blocks = direction_blocks
+        else:
+            for key, block in direction_blocks.items():
+                blocks[key] += block
+    return value, touched_entities, touched_relations, sub_params, blocks

@@ -10,8 +10,8 @@ Two update entry points exist:
 
 * :meth:`Optimizer.step` — the classic dense update: every gradient array
   matches its parameter array's full shape and every state row is touched.
-* :meth:`Optimizer.step_sparse` — the sparse-gradient update used by the
-  ``"sparse"`` training engine.  Gradients arrive as either a dense array
+* :meth:`Optimizer.step_sparse` — the sparse-gradient update used by delta
+  fine-tuning (:class:`repro.live.finetune.LazyTrainEngine`).  Gradients arrive as either a dense array
   (for globally-shared parameters such as MLP weights) or an
   ``(indices, block)`` pair, where ``indices`` is a strictly increasing
   row-index array and ``block`` holds one gradient row per index.  Only the

@@ -176,7 +176,7 @@ class BlockScoringFunction(ScoringFunction):
         return grads
 
     # ------------------------------------------------------------------
-    # Chunk-aware scoring (fused over blocks, used by the batched engine)
+    # Chunk-aware scoring (fused over blocks, used by multi-class training)
     # ------------------------------------------------------------------
     # Every block's contribution to the score of candidate ``c`` is
     # ``sign * (e_q ∘ r) · c`` over one embedding chunk, so all blocks can be

@@ -11,14 +11,14 @@ time and (optionally) validation MRR, which is what the learning-curve
 figure (Fig. 4) and the early-stopping logic consume.
 
 The per-batch loss/gradient computation is delegated to a
-:class:`repro.kge.engine.TrainEngine` (``TrainingConfig.train_engine``):
-``"batched"`` is the fused, entity-chunked fast path, ``"sparse"`` the
-touched-rows-only path for pairwise losses, and ``"reference"`` the
-original loop kept as the parity oracle.  Whenever validation runs during
-``fit`` the trainer snapshots the best-validation parameters (and optimizer
-state) and restores them before returning, so the returned parameters are
-the checkpoint that actually achieved ``history.best_validation_mrr`` — not
-whatever the last epoch happened to produce.  Early-stopping patience counts
+:class:`repro.kge.engine.TrainEngine`, whose kernel the loss picks: the
+fused, entity-chunked multi-class kernel or the touched-rows pairwise
+kernel, both followed by the dense regularizer and optimizer step.
+Whenever validation runs during ``fit`` the trainer snapshots the
+best-validation parameters (and optimizer state) and restores them before
+returning, so the returned parameters are the checkpoint that actually
+achieved ``history.best_validation_mrr`` — not whatever the last epoch
+happened to produce.  Early-stopping patience counts
 *evaluations* without improvement (one evaluation every ``eval_every``
 epochs), not epochs.
 """
@@ -32,12 +32,12 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 import numpy as np
 
 from repro.datasets.knowledge_graph import KnowledgeGraph
-from repro.kge.engine import TrainEngine, get_train_engine
+from repro.kge.engine import TrainEngine
 from repro.kge.losses import Loss, get_loss
-from repro.kge.negative_sampling import NegativeSampler, UniformNegativeSampler
+from repro.kge.negative_sampling import NegativeSampler
 from repro.kge.optimizers import Optimizer, get_optimizer
 from repro.kge.regularizers import L2Regularizer, Regularizer
-from repro.kge.scoring.base import HEAD, TAIL, ParamDict, ScoringFunction
+from repro.kge.scoring.base import ParamDict, ScoringFunction
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.utils.config import TrainingConfig
@@ -111,7 +111,7 @@ class Trainer:
             regularizer if regularizer is not None else L2Regularizer(config.l2_penalty)
         )
         self.negative_sampler = negative_sampler
-        self.engine = engine if engine is not None else get_train_engine(config)
+        self.engine = engine if engine is not None else TrainEngine(config.score_chunk_size)
         self.rng = ensure_rng(config.seed)
 
     # ------------------------------------------------------------------
@@ -135,47 +135,10 @@ class Trainer:
     # ------------------------------------------------------------------
     # One mini-batch
     # ------------------------------------------------------------------
-    def _direction_loss(
-        self,
-        params: ParamDict,
-        batch: np.ndarray,
-        direction: str,
-        grads: ParamDict,
-    ) -> float:
-        """Accumulate gradients for one ranking direction; return its loss."""
-        if direction == TAIL:
-            queries = batch[:, [0, 1]]
-            targets = batch[:, 2]
-        else:
-            queries = batch[:, [2, 1]]
-            targets = batch[:, 0]
-
-        scores = self.scoring_function.score_candidates(params, queries, direction=direction)
-        negatives = None
-        if self.loss.needs_negative_samples:
-            if self.negative_sampler is None:
-                self.negative_sampler = UniformNegativeSampler(
-                    num_entities=params["entities"].shape[0],
-                    num_negatives=self.config.negative_samples,
-                    rng=self.rng,
-                )
-            negatives = self.negative_sampler.sample(targets, relations=batch[:, 1])
-        value, dscores = self.loss.compute(scores, targets, negatives=negatives)
-        direction_grads = self.scoring_function.grad_candidates(
-            params, queries, dscores, direction=direction
-        )
-        for key, grad in direction_grads.items():
-            grads[key] += grad
-        return value
-
     def train_step(self, params: ParamDict, batch: np.ndarray) -> float:
         """Run one mini-batch update; return the batch loss.
 
-        Fully delegated to the configured
-        :class:`~repro.kge.engine.TrainEngine`: dense engines allocate a
-        full gradient dict, add the regularizer gradient and call
-        :meth:`Optimizer.step`, while the sparse engine routes compact
-        per-row gradients through :meth:`Optimizer.step_sparse`.
+        Fully delegated to the :class:`~repro.kge.engine.TrainEngine`.
         """
         return self.engine.train_step(self, params, batch)
 
@@ -253,27 +216,28 @@ class Trainer:
         # these are shared no-op objects, so the per-batch cost is two
         # empty method calls.
         registry = obs_metrics.get_registry()
-        engine_label = {"engine": self.config.train_engine}
+        kernel = "pairwise" if self.loss.needs_negative_samples else "multiclass"
+        loss_label = {"loss": kernel}
         m_epochs = registry.counter(
             "repro_train_epochs_total", help="Training epochs completed.",
-            labels=engine_label,
+            labels=loss_label,
         )
         m_batches = registry.counter(
             "repro_train_batches_total", help="Training mini-batches processed.",
-            labels=engine_label,
+            labels=loss_label,
         )
         m_triples = registry.counter(
             "repro_train_triples_total", help="Training triples processed.",
-            labels=engine_label,
+            labels=loss_label,
         )
         m_loss = registry.gauge(
             "repro_train_epoch_loss", help="Mean loss of the last epoch.",
-            labels=engine_label,
+            labels=loss_label,
         )
         m_rate = registry.gauge(
             "repro_train_triples_per_second",
             help="Training throughput of the last epoch.",
-            labels=engine_label,
+            labels=loss_label,
         )
 
         for epoch in range(1, self.config.epochs + 1):

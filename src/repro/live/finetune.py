@@ -12,15 +12,18 @@ entity and relation rows.  :func:`finetune_delta` instead:
    mean of the old table;
 2. trains only on the delta triples with a pairwise loss, drawing
    negatives from the delta-touched entity pool
-   (:class:`PooledNegativeSampler`) and routing updates through
-   :class:`~repro.kge.engine.SparseTrainEngine` +
+   (:class:`PooledNegativeSampler`) and applying the *lazy* update of
+   :class:`LazyTrainEngine`: the touched-rows kernel
+   (:func:`~repro.kge.engine.touched_rows_batch`), the regularizer on the
+   gathered rows only, and
    :meth:`~repro.kge.optimizers.Optimizer.step_sparse`.
 
 Because every gradient row (positives, corruptions, lazy regularization)
-stays inside the touched set, **untouched rows are bitwise unchanged** —
-the tier-1 suite asserts this, not just approximate stability.  The
-multi-class loss needs the full softmax over every entity (its gradient
-touches every row), so it is rejected; use ``logistic`` or ``hinge``.
+and every optimizer-state row stays inside the touched set, **untouched
+rows are bitwise unchanged** — the tier-1 suite asserts this, not just
+approximate stability.  The multi-class loss needs the full softmax over
+every entity (its gradient touches every row), so it is rejected; use
+``logistic`` or ``hinge``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kge.engine import SparseTrainEngine
+from repro.kge.engine import TrainEngine, touched_rows_batch
 from repro.kge.losses import get_loss
 from repro.kge.negative_sampling import NegativeSampler
 from repro.kge.scoring import ScoringFunction
@@ -91,6 +94,35 @@ class PooledNegativeSampler(NegativeSampler):
             redraws += redraws >= ranks
             negatives[rows, cols] = self.pool[redraws]
         return negatives
+
+
+class LazyTrainEngine(TrainEngine):
+    """Touched-rows update that never writes a row outside the batch.
+
+    The regularizer gradient covers only the gathered rows and the optimizer
+    applies per-row updates through
+    :meth:`~repro.kge.optimizers.Optimizer.step_sparse` (lazy-moment Adam).
+    Ordinary training uses the exact dense update instead; fine-tuning
+    trades that exactness for leaving every untouched row as it was.
+    Pairwise losses only: the caller rejects the multi-class loss.
+    """
+
+    def train_step(self, trainer: Trainer, params: ParamDict, batch: np.ndarray) -> float:
+        value, entities, relations, sub_params, blocks = touched_rows_batch(
+            trainer, params, batch
+        )
+        # The gathered sub-tables *are* the touched parameter rows.
+        trainer.regularizer.add_gradients(sub_params, blocks)
+        sparse_grads = {}
+        for key, block in blocks.items():
+            if key == "entities":
+                sparse_grads[key] = (entities, block)
+            elif key == "relations":
+                sparse_grads[key] = (relations, block)
+            else:
+                sparse_grads[key] = block
+        trainer.optimizer.step_sparse(params, sparse_grads)
+        return value
 
 
 def delta_touched(delta_triples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -213,13 +245,8 @@ def finetune_delta(
     params = warm_start_entities(params, rows, num_entities)
     touched_entities, touched_relations = delta_touched(rows)
 
-    engine_config = replace(config, train_engine="sparse", eval_every=0)
-    trainer = Trainer(
-        scoring_function,
-        engine_config,
-        loss=loss,
-        engine=SparseTrainEngine(score_chunk_size=config.score_chunk_size),
-    )
+    engine_config = replace(config, eval_every=0)
+    trainer = Trainer(scoring_function, engine_config, loss=loss, engine=LazyTrainEngine())
     trainer.negative_sampler = PooledNegativeSampler(
         touched_entities, engine_config.negative_samples, rng=trainer.rng
     )

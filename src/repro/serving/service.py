@@ -61,6 +61,10 @@ PathLike = Union[str, Path]
 #: The placeholder marking the slot to predict in TSV query files.
 QUERY_PLACEHOLDER = "?"
 
+#: Largest POST body the HTTP handler reads (413 above it); a ``/query``
+#: batch of tens of thousands of queries fits.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 @dataclass
 class QueryRequest:
@@ -544,6 +548,31 @@ class QueryHandler(BaseHTTPRequestHandler):
         self.server.count_request(error=True)
         self._send_json(status, {"error": message})
 
+    def _read_body(self) -> Optional[bytes]:
+        """The POST body, or ``None`` after answering a bad ``Content-Length``.
+
+        The length is checked before anything is read: a negative one would
+        block ``rfile.read`` until the client hangs up, and an oversized one
+        would be buffered whole.  The unread body leaves the connection in
+        an unknown state, so it is closed after the error.
+        """
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._send_error_json(400, f"invalid Content-Length: {declared!r}")
+            return None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_error_json(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+            return None
+        return self.rfile.read(length)
+
     # -- GET --------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server naming contract
         if self.path == "/healthz":
@@ -592,9 +621,11 @@ class QueryHandler(BaseHTTPRequestHandler):
 
     # -- POST -------------------------------------------------------------
     def _do_reload(self) -> None:
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("reload body must be a JSON object")
         except (ValueError, TypeError) as error:
@@ -631,9 +662,11 @@ class QueryHandler(BaseHTTPRequestHandler):
         if self.path != "/query":
             self._send_error_json(404, f"unknown path {self.path!r}; POST to /query")
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
         except (ValueError, TypeError) as error:
             self._send_error_json(400, f"invalid JSON body: {error}")
             return

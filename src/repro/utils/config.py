@@ -22,13 +22,8 @@ from typing import Any, Dict, Optional, Tuple
 #: processes (local and/or connecting from other hosts).
 EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "process", "queue")
 
-#: Training engines the trainer knows how to build (the single source of
-#: truth — the engine layer and the CLI both import this).  ``"reference"``
-#: is the original per-direction Python loop, kept as the parity oracle;
-#: ``"batched"`` is the fused engine with entity-chunked candidate scoring;
-#: ``"sparse"`` computes gradients only for the entity/relation rows a batch
-#: touches and applies O(touched rows) per-row optimizer updates (pairwise
-#: losses; multi-class batches fall back to the batched engine).
+#: Accepted values of the ignored ``TrainingConfig.train_engine`` key, which
+#: committed specs and run directories still carry.
 TRAIN_ENGINES: Tuple[str, ...] = ("reference", "batched", "sparse")
 
 
@@ -137,23 +132,14 @@ class TrainingConfig:
         validation runs, :meth:`repro.kge.trainer.Trainer.fit` returns the
         parameters of the best-validation checkpoint, not the last epoch's.
     train_engine:
-        Which training engine computes the per-batch loss and gradients:
-        ``"batched"`` (the default) fuses candidate scoring over block
-        structures and entity chunks, ``"reference"`` is the original
-        per-direction loop kept as the parity oracle, and ``"sparse"``
-        scores/updates only the entity and relation rows each batch touches
-        (the fast path for pairwise losses at large vocabularies; with the
-        multi-class loss it behaves like ``"batched"``).  All engines
-        produce the same losses and parameters up to floating-point
-        round-off (~1e-12); the sparse engine additionally applies
-        regularization lazily to touched rows only, so exact parity there
-        requires ``l2_penalty=0``.
+        Ignored.  The loss picks the training kernel (see
+        :mod:`repro.kge.engine`); the key is still validated against
+        :data:`TRAIN_ENGINES` so committed specs load and keep their digests.
     score_chunk_size:
-        Entity-chunk size for the batched engine's candidate scoring (also
-        used by the sparse engine's multi-class fallback).  ``0`` (the
-        default) scores all entities at once; a positive value bounds peak
-        memory to ``O(batch_size * score_chunk_size)`` scores via a two-pass
-        streaming softmax.  Ignored by the reference engine.
+        Entity-chunk size of the multi-class kernel's candidate scoring.
+        ``0`` (the default) scores all entities at once; a positive value
+        bounds peak memory to ``O(batch_size * score_chunk_size)`` scores
+        via a two-pass streaming softmax.  Pairwise losses ignore it.
     """
 
     dimension: int = 32

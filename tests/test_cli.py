@@ -48,6 +48,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--backend", "threads"])
 
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_no_train_engine_flag(self, command):
+        """The loss picks the training kernel; no flag selects one."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--train-engine", "reference"])
+        args = build_parser().parse_args([command, "--score-chunk-size", "64"])
+        assert not hasattr(args, "train_engine")
+        assert args.score_chunk_size == 64
+
 
 class TestCommands:
     def test_stats_on_benchmark(self, capsys):

@@ -2,8 +2,8 @@
 
 The headline contract is *bitwise*: rows outside the delta-touched
 entity/relation sets must come back byte-identical to the input params —
-the sparse engine only writes touched rows and the pooled sampler keeps
-every corruption (hence every gradient) inside the touched pool.
+the lazy fine-tune engine only writes touched rows and the pooled sampler
+keeps every corruption (hence every gradient) inside the touched pool.
 """
 
 from __future__ import annotations
@@ -105,9 +105,18 @@ class TestPooledSampler:
 
 class TestFinetuneDelta:
     def test_untouched_rows_bitwise_unchanged(self, trained, pairwise_config, delta):
+        # Adagrad and Adam both keep per-row state that the lazy update
+        # (Optimizer.step_sparse) must only touch for the delta's rows.
+        for optimizer in ("adagrad", "adam"):
+            self._check_untouched_rows(
+                trained, pairwise_config.replace(optimizer=optimizer), delta
+            )
+
+    @staticmethod
+    def _check_untouched_rows(trained, config, delta):
         before = {key: np.array(value) for key, value in trained.params.items()}
         params, history, report = finetune_delta(
-            trained.scoring_function, trained.params, pairwise_config, delta
+            trained.scoring_function, trained.params, config, delta
         )
         touched_entities, touched_relations = delta_touched(delta)
         entity_mask = np.ones(params["entities"].shape[0], dtype=bool)
@@ -134,8 +143,8 @@ class TestFinetuneDelta:
         assert isinstance(report, FinetuneReport)
         assert report.delta_triples == delta.shape[0]
         assert report.new_entities == 1
-        assert report.epochs == pairwise_config.epochs
-        assert len(history.losses) == pairwise_config.epochs
+        assert report.epochs == config.epochs
+        assert len(history.losses) == config.epochs
 
     def test_deterministic(self, trained, pairwise_config, delta):
         first, _, _ = finetune_delta(

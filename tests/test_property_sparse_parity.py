@@ -1,9 +1,9 @@
-"""Property-based sparse-vs-reference parity (hypothesis).
+"""Property-based touched-rows-vs-reference parity (hypothesis).
 
-For random scoring families, batch shapes and duplicate-heavy batches, the
-sparse engine must produce the same batch loss, the same accumulated
-gradients and — after one optimizer step — the same parameters as the
-reference loop at ``atol=1e-10``.  Duplicate triples within a batch are the
+For random scoring families, batch shapes, duplicate-heavy batches,
+optimizers and L2 weights, the pairwise training engine must produce the
+same batch loss, the same accumulated gradients and — after two optimizer
+steps — the same parameters as the reference loop at ``atol=1e-10``.  Duplicate triples within a batch are the
 scatter-add collision case: deduplicated touched-row indices must still
 accumulate every positive's contribution.
 """
@@ -16,6 +16,7 @@ pytestmark = pytest.mark.property  # tier 2: run with --runslow
 from hypothesis import strategies as st
 
 from repro.datasets.knowledge_graph import KnowledgeGraph
+from repro.kge.engine import ReferenceTrainEngine
 from repro.kge.trainer import Trainer
 from repro.utils.config import TrainingConfig
 
@@ -52,25 +53,27 @@ def batch_problems(draw):
     batch = pool[draw(st.lists(st.integers(0, pool_size - 1), min_size=batch_size,
                                max_size=batch_size))]
     loss = draw(st.sampled_from(["logistic", "hinge"]))
-    optimizer = draw(st.sampled_from(["sgd", "adagrad"]))
+    optimizer = draw(st.sampled_from(["sgd", "adagrad", "adam"]))
+    l2_penalty = draw(st.sampled_from([0.0, 1e-3, 0.1]))
     negative_samples = draw(st.integers(1, min(6, num_entities - 1)))
-    return family, num_entities, num_relations, batch, loss, optimizer, negative_samples, seed
+    return (family, num_entities, num_relations, batch, loss, optimizer, l2_penalty,
+            negative_samples, seed)
 
 
 def _make_trainer(engine, family, num_entities, num_relations, loss, optimizer,
-                  negative_samples, seed):
+                  l2_penalty, negative_samples, seed):
     config = TrainingConfig(
         dimension=8,
         batch_size=64,
         learning_rate=0.3,
-        l2_penalty=0.0,
+        l2_penalty=l2_penalty,
         loss=loss,
         optimizer=optimizer,
         negative_samples=negative_samples,
         seed=seed,
-        train_engine=engine,
     )
-    trainer = Trainer(SCORING_FACTORIES[family](), config)
+    engine = ReferenceTrainEngine() if engine == "reference" else None
+    trainer = Trainer(SCORING_FACTORIES[family](), config, engine=engine)
     graph_like = KnowledgeGraph(
         num_entities=num_entities,
         num_relations=num_relations,
@@ -86,11 +89,11 @@ class TestSparseParityProperties:
     @_settings
     @given(batch_problems())
     def test_gradients_match_reference(self, problem):
-        family, n_e, n_r, batch, loss, optimizer, negatives, seed = problem
+        family, n_e, n_r, batch, loss, optimizer, l2_penalty, negatives, seed = problem
         outcomes = {}
         for engine in ("reference", "sparse"):
             trainer, params = _make_trainer(
-                engine, family, n_e, n_r, loss, optimizer, negatives, seed
+                engine, family, n_e, n_r, loss, optimizer, l2_penalty, negatives, seed
             )
             grads = trainer.scoring_function.zero_grads(params)
             value = trainer.engine.accumulate_batch(trainer, params, batch, grads)
@@ -107,11 +110,11 @@ class TestSparseParityProperties:
     @_settings
     @given(batch_problems())
     def test_post_step_parameters_match_reference(self, problem):
-        family, n_e, n_r, batch, loss, optimizer, negatives, seed = problem
+        family, n_e, n_r, batch, loss, optimizer, l2_penalty, negatives, seed = problem
         outcomes = {}
         for engine in ("reference", "sparse"):
             trainer, params = _make_trainer(
-                engine, family, n_e, n_r, loss, optimizer, negatives, seed
+                engine, family, n_e, n_r, loss, optimizer, l2_penalty, negatives, seed
             )
             trainer.train_step(params, batch)
             # A second step exercises accumulated optimizer state too.

@@ -1,6 +1,7 @@
 """Tests for the query service: schema, TSV batch mode, HTTP smoke test."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -191,6 +192,29 @@ class TestHTTPService:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._get(server, "/nope")
         assert excinfo.value.code == 404
+
+    @staticmethod
+    def _raw_post(server, content_length):
+        """Status line of a POST /query sent with a raw Content-Length header."""
+        with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=3) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + content_length.encode("ascii") + b"\r\n\r\n"
+            )
+            return sock.makefile("rb").readline()
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc"])
+    def test_bad_content_length_returns_400_without_reading(self, server, content_length):
+        # Before the check, a negative length blocked the handler thread in
+        # rfile.read until the client hung up: this read would time out.
+        status_line = self._raw_post(server, content_length)
+        assert status_line.split()[1] == b"400", status_line
+
+    def test_oversized_body_returns_413_without_reading(self, server):
+        from repro.serving.service import MAX_BODY_BYTES
+
+        status_line = self._raw_post(server, str(MAX_BODY_BYTES + 1))
+        assert status_line.split()[1] == b"413", status_line
 
     def test_uptime_is_monotonic_and_non_negative(self, server):
         _, first = self._get(server, "/stats")

@@ -1,28 +1,25 @@
-"""Tests for the sparse training engine (touched-rows-only gradients).
+"""Tests for the touched-rows pairwise kernel and the lazy fine-tune update.
 
-The sparse engine must reproduce the reference loop at ``atol=1e-10`` for
-pairwise losses with ``l2_penalty=0`` (its lazy regularization is only exact
-at zero weight), fall back to the batched engine for the multi-class loss,
-and keep its documented lazy-update semantics: rows a batch never touches
-are never written.
+Pairwise batches score and differentiate only the rows they touch, then take
+the dense regularizer and optimizer step, so training must reproduce the
+reference loop at ``atol=1e-10`` for every optimizer and any ``l2_penalty``.
+The stale ``train_engine`` key must not change multi-class training.  The
+lazy update that fine-tuning uses keeps its documented semantics: rows a
+batch never touches are never written.
 """
 
 import numpy as np
 import pytest
 
-from repro.kge.engine import (
-    BatchedTrainEngine,
-    ReferenceTrainEngine,
-    SparseTrainEngine,
-    get_train_engine,
-)
+from repro.kge.engine import ReferenceTrainEngine, TrainEngine
 from repro.kge.trainer import Trainer
+from repro.live.finetune import LazyTrainEngine
 from repro.utils.config import ConfigError, TrainingConfig
 
 from test_train_engine import SCORING_FACTORIES
 
 
-PAIRWISE = dict(loss="logistic", negative_samples=4, l2_penalty=0.0)
+PAIRWISE = dict(loss="logistic", negative_samples=4, l2_penalty=0.01)
 
 
 def _config(**overrides):
@@ -31,8 +28,8 @@ def _config(**overrides):
     return TrainingConfig(**settings)
 
 
-def _fit(graph, factory, **overrides):
-    return Trainer(factory(), _config(**overrides)).fit(graph)
+def _fit(graph, factory, engine=None, **overrides):
+    return Trainer(factory(), _config(**overrides), engine=engine).fit(graph)
 
 
 def _assert_params_close(actual, expected, atol=1e-10):
@@ -42,69 +39,57 @@ def _assert_params_close(actual, expected, atol=1e-10):
 
 
 class TestFactory:
-    def test_sparse_engine_by_name(self):
-        engine = get_train_engine(TrainingConfig(train_engine="sparse", score_chunk_size=16))
-        assert isinstance(engine, SparseTrainEngine)
-        assert engine.name == "sparse"
-        assert engine.score_chunk_size == 16  # threaded into the multiclass fallback
-
     def test_config_accepts_sparse(self):
         config = TrainingConfig(train_engine="sparse")
         assert TrainingConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_engine_is_a_config_error(self):
-        # The constructor validates train_engine, so reach get_train_engine
-        # with a stale/mutated config the way a forward-versioned run
-        # directory would.
-        config = TrainingConfig()
-        config.train_engine = "gpu"
+        # The key selects nothing, but it is still validated so that a
+        # typo in a committed spec fails loudly.
         with pytest.raises(ConfigError, match="reference, batched, sparse"):
-            get_train_engine(config)
-
-    def test_trainer_builds_sparse_engine_from_config(self):
-        config = _config(train_engine="sparse")
-        trainer = Trainer(SCORING_FACTORIES["simple"](), config)
-        assert isinstance(trainer.engine, SparseTrainEngine)
+            TrainingConfig.from_dict({"train_engine": "gpu"})
 
 
 class TestSparseParity:
-    """Acceptance: sparse-vs-reference parity at atol=1e-10 (ISSUE 6)."""
+    """Acceptance: touched-rows training matches the reference at atol=1e-10."""
 
     @pytest.mark.parametrize("family", sorted(SCORING_FACTORIES))
     def test_fit_matches_reference_all_families(self, tiny_graph, family):
         factory = SCORING_FACTORIES[family]
         reference_params, reference_history = _fit(
-            tiny_graph, factory, train_engine="reference", **PAIRWISE
+            tiny_graph, factory, engine=ReferenceTrainEngine(), **PAIRWISE
         )
-        sparse_params, sparse_history = _fit(
-            tiny_graph, factory, train_engine="sparse", **PAIRWISE
-        )
+        sparse_params, sparse_history = _fit(tiny_graph, factory, **PAIRWISE)
         np.testing.assert_allclose(
             sparse_history.losses, reference_history.losses, rtol=0, atol=1e-10
         )
         _assert_params_close(sparse_params, reference_params)
 
     @pytest.mark.parametrize("loss", ["logistic", "hinge"])
-    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad", "adam"])
     def test_fit_matches_reference_losses_and_optimizers(self, tiny_graph, loss, optimizer):
         overrides = dict(
-            loss=loss, negative_samples=4, l2_penalty=0.0, optimizer=optimizer
+            loss=loss, negative_samples=4, l2_penalty=0.01, optimizer=optimizer
         )
         factory = SCORING_FACTORIES["simple"]
-        reference_params, _ = _fit(tiny_graph, factory, train_engine="reference", **overrides)
-        sparse_params, _ = _fit(tiny_graph, factory, train_engine="sparse", **overrides)
+        reference_params, _ = _fit(
+            tiny_graph, factory, engine=ReferenceTrainEngine(), **overrides
+        )
+        sparse_params, _ = _fit(tiny_graph, factory, **overrides)
         _assert_params_close(sparse_params, reference_params)
 
     def test_adam_single_step_matches_reference(self, tiny_graph):
-        """Lazy Adam matches dense Adam exactly on each row's first update."""
+        """One full-batch Adam step matches the reference."""
         overrides = dict(optimizer="adam", epochs=1, batch_size=10**6, **PAIRWISE)
         factory = SCORING_FACTORIES["simple"]
-        reference_params, _ = _fit(tiny_graph, factory, train_engine="reference", **overrides)
-        sparse_params, _ = _fit(tiny_graph, factory, train_engine="sparse", **overrides)
+        reference_params, _ = _fit(
+            tiny_graph, factory, engine=ReferenceTrainEngine(), **overrides
+        )
+        sparse_params, _ = _fit(tiny_graph, factory, **overrides)
         _assert_params_close(sparse_params, reference_params)
 
     def test_multiclass_delegates_to_batched_bitwise(self, tiny_graph):
-        """Full-softmax batches go through the batched engine unchanged."""
+        """A stale train_engine="sparse" key leaves multi-class training as is."""
         factory = SCORING_FACTORIES["simple"]
         batched_params, batched_history = _fit(tiny_graph, factory, train_engine="batched")
         sparse_params, sparse_history = _fit(tiny_graph, factory, train_engine="sparse")
@@ -113,6 +98,7 @@ class TestSparseParity:
             np.testing.assert_array_equal(sparse_params[key], batched_params[key])
 
     def test_multiclass_delegate_respects_chunking(self, tiny_graph):
+        """Chunked multi-class training is unchanged by the stale key."""
         factory = SCORING_FACTORIES["simple"]
         batched_params, _ = _fit(
             tiny_graph, factory, train_engine="batched", score_chunk_size=13
@@ -133,17 +119,15 @@ class TestSparseParity:
         config = _config(**PAIRWISE)
         batch = np.repeat(tiny_graph.train[:6], 4, axis=0)
 
-        def batch_grads(engine_name):
-            trainer = Trainer(SCORING_FACTORIES["simple"](), config.replace(
-                train_engine=engine_name
-            ))
+        def batch_grads(engine):
+            trainer = Trainer(SCORING_FACTORIES["simple"](), config, engine=engine)
             params = trainer.initialize(tiny_graph)
             grads = trainer.scoring_function.zero_grads(params)
             value = trainer.engine.accumulate_batch(trainer, params, batch, grads)
             return value, grads
 
-        reference_value, reference_grads = batch_grads("reference")
-        sparse_value, sparse_grads = batch_grads("sparse")
+        reference_value, reference_grads = batch_grads(ReferenceTrainEngine())
+        sparse_value, sparse_grads = batch_grads(None)
         assert sparse_value == pytest.approx(reference_value, abs=1e-10)
         for key in reference_grads:
             np.testing.assert_allclose(
@@ -154,9 +138,8 @@ class TestSparseParity:
 class TestLazySemantics:
     def test_untouched_rows_are_never_written(self, tiny_graph):
         """Even with L2 on, rows outside the batch keep their exact values."""
-        config = _config(loss="logistic", negative_samples=4, l2_penalty=0.1,
-                         train_engine="sparse")
-        trainer = Trainer(SCORING_FACTORIES["simple"](), config)
+        config = _config(loss="logistic", negative_samples=4, l2_penalty=0.1)
+        trainer = Trainer(SCORING_FACTORIES["simple"](), config, engine=LazyTrainEngine())
         params = trainer.initialize(tiny_graph)
         before = {key: value.copy() for key, value in params.items()}
         batch = tiny_graph.train[:8]
@@ -168,8 +151,8 @@ class TestLazySemantics:
         )
         # Every positive is certainly touched...
         assert np.isin(touched, changed).all()
-        # ...and the untouched complement is bitwise identical — a dense
-        # engine with l2_penalty=0.1 would have decayed every row.
+        # ...and the untouched complement is bitwise identical — the dense
+        # update with l2_penalty=0.1 would have decayed every row.
         untouched = np.setdiff1d(np.arange(tiny_graph.num_entities), changed)
         assert untouched.size > 0, "batch unexpectedly touched the whole vocabulary"
         np.testing.assert_array_equal(
@@ -180,8 +163,10 @@ class TestLazySemantics:
         """The documented deviation: lazy regularization at nonzero weight."""
         overrides = dict(loss="logistic", negative_samples=4, l2_penalty=0.1, epochs=1)
         factory = SCORING_FACTORIES["simple"]
-        reference_params, _ = _fit(tiny_graph, factory, train_engine="reference", **overrides)
-        sparse_params, _ = _fit(tiny_graph, factory, train_engine="sparse", **overrides)
+        reference_params, _ = _fit(
+            tiny_graph, factory, engine=ReferenceTrainEngine(), **overrides
+        )
+        sparse_params, _ = _fit(tiny_graph, factory, engine=LazyTrainEngine(), **overrides)
         # With every entity touched over a full epoch the results stay close,
         # but not identical — the decay is applied at different times.
         assert not all(
@@ -192,15 +177,15 @@ class TestLazySemantics:
 
 class TestStreamFit:
     def test_stream_fit_matches_reference(self, tiny_graph, tmp_path):
-        """fit(stream=...) drives the sparse engine batch by batch."""
+        """fit(stream=...) drives the touched-rows kernel batch by batch."""
         store = tiny_graph.to_store(tmp_path / "store", shard_size=128)
         results = {}
-        for engine in ("reference", "sparse"):
-            config = _config(epochs=3, train_engine=engine, **PAIRWISE)
-            trainer = Trainer(SCORING_FACTORIES["simple"](), config)
+        for name, engine in (("reference", ReferenceTrainEngine()), ("sparse", None)):
+            config = _config(epochs=3, **PAIRWISE)
+            trainer = Trainer(SCORING_FACTORIES["simple"](), config, engine=engine)
             stream = store.stream("train", batch_size=64, seed=0)
             params, history = trainer.fit(None, stream=stream)
-            results[engine] = (params, history)
+            results[name] = (params, history)
         reference_params, reference_history = results["reference"]
         sparse_params, sparse_history = results["sparse"]
         np.testing.assert_allclose(
@@ -222,16 +207,16 @@ class TestStreamFit:
 
 class TestAccumulateBatchContract:
     def test_explicit_engine_wins_over_config(self, tiny_graph):
-        config = _config(train_engine="batched")
+        config = _config(train_engine="sparse")
         trainer = Trainer(
-            SCORING_FACTORIES["simple"](), config, engine=SparseTrainEngine()
+            SCORING_FACTORIES["simple"](), config, engine=ReferenceTrainEngine()
         )
-        assert isinstance(trainer.engine, SparseTrainEngine)
+        assert isinstance(trainer.engine, ReferenceTrainEngine)
 
     def test_train_step_default_flow_unchanged_for_dense_engines(self, tiny_graph):
-        """The base-class train_step reproduces the old trainer inline flow."""
+        """The dense train_step runs for the engine and its oracle alike."""
         config = _config(**PAIRWISE)
-        for engine in (ReferenceTrainEngine(), BatchedTrainEngine()):
+        for engine in (ReferenceTrainEngine(), TrainEngine()):
             trainer = Trainer(SCORING_FACTORIES["simple"](), config, engine=engine)
             params = trainer.initialize(tiny_graph)
             value = trainer.train_step(params, tiny_graph.train[:16])

@@ -1,14 +1,9 @@
-"""Tests for the training-engine layer (batched vs reference parity)."""
+"""Tests for the training engine (multi-class kernel vs reference parity)."""
 
 import numpy as np
 import pytest
 
-from repro.kge.engine import (
-    BatchedTrainEngine,
-    ReferenceTrainEngine,
-    entity_chunks,
-    get_train_engine,
-)
+from repro.kge.engine import ReferenceTrainEngine, TrainEngine, entity_chunks
 from repro.kge.losses import MulticlassLoss, StreamingMulticlass, multiclass_inplace
 from repro.kge.scoring import BlockScoringFunction, classical_structure
 from repro.kge.scoring.bilinear import RESCAL
@@ -35,20 +30,17 @@ SCORING_FACTORIES = {
 }
 
 
-def _fit(graph, factory, **config_overrides):
+def _fit(graph, factory, engine=None, **config_overrides):
     config = TrainingConfig(
         dimension=8, epochs=6, batch_size=64, learning_rate=0.5, seed=0, **config_overrides
     )
-    return Trainer(factory(), config).fit(graph)
+    return Trainer(factory(), config, engine=engine).fit(graph)
 
 
 class TestEngineFactory:
-    def test_names(self):
-        assert get_train_engine(TrainingConfig(train_engine="reference")).name == "reference"
-        engine = get_train_engine(TrainingConfig(train_engine="batched", score_chunk_size=32))
-        assert engine.name == "batched"
-        assert engine.score_chunk_size == 32
-        assert get_train_engine(TrainingConfig(train_engine="sparse")).name == "sparse"
+    def test_engine_rejects_negative_chunk(self):
+        with pytest.raises(ValueError):
+            TrainEngine(score_chunk_size=-1)
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
@@ -99,15 +91,15 @@ class TestStreamingMulticlass:
 
 
 class TestEngineParity:
-    """Acceptance: the batched engine reproduces the reference loop."""
+    """Acceptance: the multi-class kernel reproduces the reference loop."""
 
     @pytest.mark.parametrize("family", sorted(SCORING_FACTORIES))
     def test_losses_and_params_match_reference(self, tiny_graph, family):
         factory = SCORING_FACTORIES[family]
         reference_params, reference_history = _fit(
-            tiny_graph, factory, train_engine="reference"
+            tiny_graph, factory, engine=ReferenceTrainEngine()
         )
-        batched_params, batched_history = _fit(tiny_graph, factory, train_engine="batched")
+        batched_params, batched_history = _fit(tiny_graph, factory)
         np.testing.assert_allclose(
             batched_history.losses, reference_history.losses, rtol=0, atol=1e-10
         )
@@ -123,11 +115,9 @@ class TestEngineParity:
     def test_chunked_matches_reference(self, tiny_graph, family, chunk):
         factory = SCORING_FACTORIES[family]
         reference_params, reference_history = _fit(
-            tiny_graph, factory, train_engine="reference"
+            tiny_graph, factory, engine=ReferenceTrainEngine()
         )
-        chunked_params, chunked_history = _fit(
-            tiny_graph, factory, train_engine="batched", score_chunk_size=chunk
-        )
+        chunked_params, chunked_history = _fit(tiny_graph, factory, score_chunk_size=chunk)
         np.testing.assert_allclose(
             chunked_history.losses, reference_history.losses, rtol=0, atol=1e-10
         )
@@ -135,19 +125,6 @@ class TestEngineParity:
             np.testing.assert_allclose(
                 chunked_params[key], reference_params[key], rtol=0, atol=1e-10
             )
-
-    def test_pairwise_loss_falls_back_to_reference_bitwise(self, tiny_graph):
-        factory = SCORING_FACTORIES["simple"]
-        overrides = dict(loss="logistic", negative_samples=4)
-        reference_params, reference_history = _fit(
-            tiny_graph, factory, train_engine="reference", **overrides
-        )
-        batched_params, batched_history = _fit(
-            tiny_graph, factory, train_engine="batched", **overrides
-        )
-        assert batched_history.losses == reference_history.losses
-        for key in reference_params:
-            np.testing.assert_array_equal(batched_params[key], reference_params[key])
 
 
 class TestChunkedMemoryBound:
@@ -169,7 +146,6 @@ class TestChunkedMemoryBound:
             batch_size=64,
             learning_rate=0.5,
             seed=0,
-            train_engine="batched",
             score_chunk_size=13,
         )
         Trainer(SpyScoringFunction(structure), config).fit(tiny_graph)
@@ -179,7 +155,7 @@ class TestChunkedMemoryBound:
         assert sum(seen_widths) % tiny_graph.num_entities == 0
 
     def test_unchunked_scores_everything_at_once(self, tiny_graph):
-        engine = BatchedTrainEngine(score_chunk_size=0)
+        engine = TrainEngine(score_chunk_size=0)
         assert list(entity_chunks(tiny_graph.num_entities, engine.score_chunk_size)) == [
             (0, tiny_graph.num_entities)
         ]
@@ -187,21 +163,36 @@ class TestChunkedMemoryBound:
 
 class TestEngineSelectionThreading:
     def test_trainer_builds_engine_from_config(self, tiny_graph):
-        config = TrainingConfig(dimension=8, train_engine="reference")
+        config = TrainingConfig(dimension=8, train_engine="reference", score_chunk_size=7)
         trainer = Trainer(BlockScoringFunction(classical_structure("simple")), config)
-        assert isinstance(trainer.engine, ReferenceTrainEngine)
+        # The ignored train_engine key selects nothing: the one engine,
+        # with the configured chunk size, is always built.
+        assert type(trainer.engine) is TrainEngine
+        assert trainer.engine.score_chunk_size == 7
 
     def test_explicit_engine_wins(self, tiny_graph):
-        config = TrainingConfig(dimension=8, train_engine="reference")
+        config = TrainingConfig(dimension=8, score_chunk_size=5)
         trainer = Trainer(
             BlockScoringFunction(classical_structure("simple")),
             config,
-            engine=BatchedTrainEngine(score_chunk_size=5),
+            engine=ReferenceTrainEngine(),
         )
-        assert isinstance(trainer.engine, BatchedTrainEngine)
-        assert trainer.engine.score_chunk_size == 5
+        assert isinstance(trainer.engine, ReferenceTrainEngine)
 
-    def test_evaluate_candidate_respects_config_engine(self, tiny_graph):
+    @pytest.mark.parametrize("loss", ["multiclass", "logistic"])
+    def test_train_engine_key_changes_nothing(self, tiny_graph, loss):
+        """Only the loss picks the kernel; every train_engine value trains alike."""
+        runs = {
+            engine: _fit(tiny_graph, SCORING_FACTORIES["simple"], loss=loss, train_engine=engine)
+            for engine in ("reference", "batched", "sparse")
+        }
+        params, history = runs["batched"]
+        for other_params, other_history in runs.values():
+            assert other_history.losses == history.losses
+            for key in params:
+                np.testing.assert_array_equal(other_params[key], params[key])
+
+    def test_evaluate_candidate_ignores_train_engine_key(self, tiny_graph):
         from repro.core.execution import EvaluationContext, EvaluationTask, evaluate_candidate
 
         structure = classical_structure("simple")
@@ -217,6 +208,21 @@ class TestEngineSelectionThreading:
             )
             context = EvaluationContext(tiny_graph, config)
             outcomes[engine] = evaluate_candidate(context, EvaluationTask(structure, seed=3))
-        assert outcomes["batched"].validation_mrr == pytest.approx(
-            outcomes["reference"].validation_mrr, abs=1e-9
-        )
+        assert outcomes["batched"].validation_mrr == outcomes["reference"].validation_mrr
+
+
+class TestTrainingTelemetry:
+    @pytest.mark.parametrize("loss, label", [("multiclass", "multiclass"), ("hinge", "pairwise")])
+    def test_series_labelled_by_loss_kind(self, tiny_graph, loss, label):
+        from repro.obs import metrics as obs_metrics
+
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        try:
+            config = TrainingConfig(dimension=8, epochs=2, batch_size=64, loss=loss, seed=0)
+            Trainer(SCORING_FACTORIES["simple"](), config).fit(tiny_graph)
+        finally:
+            obs_metrics.set_registry(previous)
+        text = obs_metrics.render_prometheus(registry)
+        assert f'repro_train_epochs_total{{loss="{label}"}} 2' in text
+        assert "engine=" not in text
