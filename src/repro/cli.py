@@ -24,9 +24,9 @@ The subcommands cover the common workflows without writing any Python:
 * ``repro-autosf train``  — train one named scoring function and report the
   filtered link-prediction metrics.  ``--eval-every N`` / ``--patience P``
   enable validation-driven early stopping (patience counts evaluations, not
-  epochs) with best-checkpoint restore; ``--save DIR`` persists the model
-  together with entity/relation counts and the dataset's vocabulary, so it
-  reloads standalone;
+  epochs) with best-checkpoint restore; ``--save DIR`` writes the model as
+  a serving artifact (with the dataset's vocabulary), ready for
+  ``query``/``serve``;
 * ``repro-autosf search`` — run the progressive greedy search and print the
   case study of the best structure found.  The flags become an
   ``ExperimentSpec`` (greedy strategy); candidate training can be fanned out
@@ -36,9 +36,9 @@ The subcommands cover the common workflows without writing any Python:
   restarts deterministically with ``--resume DIR``, retraining nothing that
   already completed, and ``repro-autosf run DIR/spec.json --run-dir DIR``
   turns the checkpoint into a full run directory from the same store;
-* ``repro-autosf export`` — package a saved model (``--model DIR``) or the
-  best model of an experiment run (``--run DIR``) as a versioned serving
-  artifact (manifest + params + vocab, optionally with eval metrics);
+* ``repro-autosf export`` — re-export a saved model (``--model DIR``) or the
+  best model of an experiment run (``--run DIR``) as a new serving artifact,
+  optionally stamped with a generation and eval metrics;
 * ``repro-autosf query``  — answer a TSV batch of link-prediction queries
   through the batched inference engine (``--filter`` removes known
   positives);
@@ -84,12 +84,7 @@ from repro.experiments import (
 from repro.experiments.runner import BEST_DIRNAME, SPEC_FILENAME, TRACE_DIRNAME
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import merge_trace_dir, summarize_spans, write_merged_trace
-from repro.kge import (
-    KGEModel,
-    ModelLoadError,
-    require_graph_matches_params,
-    train_model,
-)
+from repro.kge import require_graph_matches_params, train_model
 from repro.kge.scoring import available_scoring_functions
 from repro.serving import (
     ArtifactError,
@@ -291,8 +286,8 @@ def command_train(args: argparse.Namespace) -> int:
         rows.append(row)
     print(format_table(rows, title=f"{args.model} on {graph.name}"))
     if args.save:
-        path = model.save(args.save, graph=graph)
-        print(f"model saved to {path}")
+        path = export_artifact(model, args.save, graph=graph)
+        print(f"model saved to {path} (a serving artifact)")
     return 0
 
 
@@ -518,9 +513,9 @@ def command_export(args: argparse.Namespace) -> int:
     else:
         model_directory = args.model
     try:
-        model = KGEModel.load(model_directory)
-    except ModelLoadError as error:
-        raise SystemExit(str(error))
+        model = load_artifact(model_directory).to_model()
+    except ArtifactError as error:
+        raise SystemExit(f"cannot load model to export: {error}")
     graph = None
     metrics = None
     if args.with_metrics:
@@ -811,7 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_scoring_functions(),
         help="scoring function to train (default: simple)",
     )
-    train_parser.add_argument("--save", help="directory to save the trained model into")
+    train_parser.add_argument(
+        "--save", help="directory to write the trained model into, as a serving artifact"
+    )
     train_parser.set_defaults(handler=command_train)
 
     search_parser = subparsers.add_parser("search", help="run the AutoSF greedy search")
@@ -853,11 +850,11 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.set_defaults(handler=command_search)
 
     export_parser = subparsers.add_parser(
-        "export", help="package a saved model as a versioned serving artifact"
+        "export", help="re-export a saved model as a new serving artifact"
     )
     export_source = export_parser.add_mutually_exclusive_group()
     export_source.add_argument(
-        "--model", help="model directory written by train --save"
+        "--model", help="model artifact directory written by train --save or export"
     )
     export_source.add_argument(
         "--run", help="experiment run directory written by 'run' (exports best/)"

@@ -12,7 +12,7 @@ analysis helpers, a future dashboard) can rely on:
       history.jsonl    # one JSON line per recorded evaluation, in order
       report.json      # best structure/MRR, anytime curve, timing, stats
       evaluations/     # persistent evaluation store (resume + cross-run cache)
-      best/            # the best model, retrained & saved (KGEModel.save)
+      best/            # the best model, retrained, as a serving artifact
       artifact/        # optional serving artifact (spec.export.enabled)
       trace/           # optional per-process span files (spec.obs.enabled)
       metrics.json     # optional metrics-registry snapshot (spec.obs.enabled)
@@ -104,8 +104,10 @@ class RunRecord:
         return self.path / BEST_DIRNAME
 
     def load_best_model(self) -> KGEModel:
-        """The retrained best model saved under ``best/``."""
-        return KGEModel.load(self.best_model_dir())
+        """The retrained best model saved under ``best/`` (read-only params)."""
+        from repro.serving import load_artifact
+
+        return load_artifact(self.best_model_dir()).to_model()
 
 
 class ExperimentRunner:
@@ -198,8 +200,13 @@ class ExperimentRunner:
         resume, a ``best/`` checkpoint that already holds this structure
         under this configuration is reused instead of retrained — training
         is deterministic given the config's seed, so the checkpoint is the
-        same model.
+        same model.  ``best/`` is written as a serving artifact, so it is
+        directly servable and mmap-loadable.
         """
+        # Serving is imported lazily here and below so importing the
+        # experiments layer does not pull in the HTTP serving stack.
+        from repro.serving import export_artifact
+
         config = training_config
         if isinstance(self.spec.seed, int):
             config = config.replace(
@@ -210,15 +217,17 @@ class ExperimentRunner:
         if cached is not None:
             return cached
         model = train_model(graph, result.best_structure, config)
-        model.save(best_dir, graph=graph)
+        export_artifact(model, best_dir, graph=graph)
         return model
 
     @staticmethod
     def _load_matching_best(best_dir, config, result: SearchResult) -> Optional[KGEModel]:
         if not best_dir.exists():
             return None
+        from repro.serving import load_artifact
+
         try:
-            model = KGEModel.load(best_dir)
+            model = load_artifact(best_dir).to_model()
         except Exception:  # half-written checkpoint: retrain and overwrite
             return None
         structure = getattr(model.scoring_function, "structure", None)
@@ -231,8 +240,6 @@ class ExperimentRunner:
     def _export_artifact(self, model: KGEModel, graph) -> Optional[Path]:
         if not self.spec.export.enabled:
             return None
-        # Imported here so the experiments layer has no hard dependency on
-        # serving unless export is requested.
         from repro.serving import export_artifact
 
         metrics = None

@@ -23,9 +23,7 @@ training and evaluation pipeline of Alg. 1 of the AutoSF paper:
 from repro.kge.engine import ReferenceTrainEngine, TrainEngine
 from repro.kge.model import (
     KGEModel,
-    ModelLoadError,
     require_graph_matches_params,
-    scoring_function_from_metadata,
     train_model,
 )
 from repro.kge.topk import (
@@ -54,9 +52,7 @@ __all__ = [
     "ReferenceTrainEngine",
     "TrainEngine",
     "KGEModel",
-    "ModelLoadError",
     "require_graph_matches_params",
-    "scoring_function_from_metadata",
     "train_model",
     "mask_known_scores",
     "select_predictions",

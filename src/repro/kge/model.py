@@ -2,7 +2,8 @@
 
 :class:`KGEModel` is the object most users interact with: it bundles a
 scoring function, its trained parameter dict and the training configuration,
-and exposes prediction, ranking, evaluation and (de)serialization.  The
+and exposes prediction, ranking and evaluation.  Its one on-disk format is
+the serving artifact (:mod:`repro.serving.artifact`).  The
 :func:`train_model` convenience function covers the common
 "train this SF on this graph with this config" call in one line, which is
 also the primitive the AutoSF search invokes for every candidate.
@@ -10,8 +11,7 @@ also the primitive the AutoSF search invokes for every candidate.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,54 +28,6 @@ from repro.kge.scoring.registry import get_scoring_function
 from repro.kge.topk import mask_known_scores, select_predictions
 from repro.kge.trainer import Trainer, TrainingHistory
 from repro.utils.config import TrainingConfig
-from repro.utils.serialization import (
-    from_json_file,
-    load_params_npz,
-    save_params_npz,
-    to_json_file,
-)
-
-PathLike = Union[str, Path]
-
-#: File names a model directory written by :meth:`KGEModel.save` contains.
-MODEL_METADATA_FILENAME = "model.json"
-MODEL_PARAMS_FILENAME = "params.npz"
-MODEL_VOCAB_FILENAME = "vocab.json"
-
-
-class ModelLoadError(RuntimeError):
-    """A model directory is missing pieces or inconsistent.
-
-    Raised by :meth:`KGEModel.load` instead of the raw ``FileNotFoundError``
-    / ``KeyError`` a half-written directory would otherwise produce, always
-    naming the offending path.
-    """
-
-
-def scoring_function_from_metadata(metadata: Dict[str, object]) -> ScoringFunction:
-    """Rebuild a scoring function from saved metadata.
-
-    Block-structured models are reconstructed from their stored block list;
-    anything else resolves through the name registry.  Shared by
-    :meth:`KGEModel.load` and the serving artifact loader.
-    """
-    name = str(metadata["scoring_function"])
-    if "block_structure" in metadata:
-        structure = BlockStructure(
-            [tuple(block) for block in metadata["block_structure"]], name=name
-        )
-        return BlockScoringFunction(structure, name=name)
-    return get_scoring_function(name)
-
-
-def scoring_function_metadata(scoring_function: ScoringFunction) -> Dict[str, object]:
-    """The metadata :func:`scoring_function_from_metadata` needs to rebuild."""
-    metadata: Dict[str, object] = {"scoring_function": scoring_function.name}
-    if isinstance(scoring_function, BlockScoringFunction):
-        metadata["block_structure"] = [
-            list(block) for block in scoring_function.structure.blocks
-        ]
-    return metadata
 
 
 def require_graph_matches_params(
@@ -92,91 +44,6 @@ def require_graph_matches_params(
             f"{graph.num_relations} relations) does not match the trained "
             f"parameters ({num_entities} entities, {num_relations} relations)"
         )
-
-
-def write_vocab_file(
-    entity_names: Optional[Sequence[str]],
-    relation_names: Optional[Sequence[str]],
-    path: Path,
-) -> Optional[Path]:
-    """Write entity/relation labels as a vocab JSON (no file when both absent).
-
-    The single definition of the ``vocab.json`` schema — model saving and
-    artifact export both write through here, and the artifact loader reads
-    files produced by either.
-    """
-    if entity_names is None and relation_names is None:
-        return None
-    return to_json_file(
-        {
-            "entity_names": list(entity_names) if entity_names else None,
-            "relation_names": list(relation_names) if relation_names else None,
-        },
-        path,
-    )
-
-
-def read_model_directory(
-    base: Path,
-    metadata_filename: str,
-    params_filename: str,
-    error_cls: type,
-    label: str = "model",
-    writer_hint: str = "KGEModel.save",
-    required_metadata_keys: Sequence[str] = ("scoring_function", "config"),
-) -> Tuple[Dict[str, object], ParamDict]:
-    """Read and validate the metadata + params pair of a model-like directory.
-
-    Shared by :meth:`KGEModel.load` and the serving artifact loader: checks
-    both files exist, parses the metadata JSON, checks the required keys and
-    loads the parameter archive — every failure raised as ``error_cls`` with
-    a message naming the directory and the broken piece.
-    """
-    prefix = f"cannot load {label} from {base}"
-    metadata_path = base / metadata_filename
-    params_path = base / params_filename
-    missing_files = [path.name for path in (metadata_path, params_path) if not path.exists()]
-    if missing_files:
-        raise error_cls(
-            f"{prefix}: missing {', '.join(missing_files)} "
-            f"(expected a directory written by {writer_hint})"
-        )
-    try:
-        metadata = from_json_file(metadata_path)
-    except ValueError as error:
-        raise error_cls(
-            f"{prefix}: {metadata_path.name} is not valid JSON ({error})"
-        ) from error
-    missing_keys = [key for key in required_metadata_keys if key not in metadata]
-    if missing_keys:
-        raise error_cls(
-            f"{prefix}: {metadata_path.name} is missing required keys: "
-            f"{', '.join(missing_keys)}"
-        )
-    try:
-        params = load_params_npz(params_path, required_keys=("entities", "relations"))
-    except (ValueError, OSError) as error:
-        raise error_cls(f"{prefix}: {error}") from error
-    check_declared_counts(metadata, params, error_cls, prefix, metadata_filename, params_filename)
-    return metadata, params
-
-
-def check_declared_counts(
-    metadata: Dict[str, object],
-    params: ParamDict,
-    error_cls: type,
-    prefix: str,
-    metadata_filename: str,
-    params_filename: str,
-) -> None:
-    """Check declared entity/relation counts against the loaded arrays."""
-    for key, count_key in (("entities", "num_entities"), ("relations", "num_relations")):
-        declared = metadata.get(count_key)
-        if declared is not None and int(declared) != int(params[key].shape[0]):
-            raise error_cls(
-                f"{prefix}: {metadata_filename} declares {int(declared)} {key} "
-                f"but {params_filename} holds {int(params[key].shape[0])}"
-            )
 
 
 class KGEModel:
@@ -221,7 +88,7 @@ class KGEModel:
 
     def _require_params(self) -> ParamDict:
         if self.params is None:
-            raise RuntimeError("model has no parameters; call fit() or load() first")
+            raise RuntimeError("model has no parameters; call fit() first")
         return self.params
 
     # ------------------------------------------------------------------
@@ -306,52 +173,6 @@ class KGEModel:
         return evaluate_triplet_classification(
             self.scoring_function, self._require_params(), graph, rng=rng
         )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def save(self, directory: PathLike, graph: Optional[KnowledgeGraph] = None) -> Path:
-        """Save parameters + config (+ block structure, if any) to a directory.
-
-        Entity/relation counts are persisted in the metadata so the model can
-        be reloaded, exported and queried without re-specifying the dataset.
-        When ``graph`` is given and carries entity/relation labels, a
-        ``vocab.json`` is written alongside so downstream consumers (the
-        serving artifact, the query CLI) can resolve symbols.
-        """
-        params = self._require_params()
-        if graph is not None:
-            require_graph_matches_params(params, graph)
-        base = Path(directory)
-        base.mkdir(parents=True, exist_ok=True)
-        save_params_npz(params, base / MODEL_PARAMS_FILENAME)
-        metadata: Dict[str, object] = scoring_function_metadata(self.scoring_function)
-        metadata["config"] = self.config.to_dict()
-        metadata["num_entities"] = int(params["entities"].shape[0])
-        metadata["num_relations"] = int(params["relations"].shape[0])
-        to_json_file(metadata, base / MODEL_METADATA_FILENAME)
-        if graph is not None:
-            write_vocab_file(graph.entity_names, graph.relation_names, base / MODEL_VOCAB_FILENAME)
-        return base
-
-    @classmethod
-    def load(cls, directory: PathLike) -> "KGEModel":
-        """Load a model previously written by :meth:`save`.
-
-        A missing or half-written directory raises :class:`ModelLoadError`
-        naming the path and the missing piece, instead of the raw
-        ``FileNotFoundError`` / ``KeyError`` it used to surface.
-        """
-        base = Path(directory)
-        metadata, params = read_model_directory(
-            base, MODEL_METADATA_FILENAME, MODEL_PARAMS_FILENAME, ModelLoadError
-        )
-        try:
-            config = TrainingConfig.from_dict(metadata["config"])
-            scoring_function = scoring_function_from_metadata(metadata)
-        except (KeyError, TypeError, ValueError) as error:
-            raise ModelLoadError(f"cannot load model from {base}: {error}") from error
-        return cls(scoring_function, config, params=params)
 
 
 def train_model(

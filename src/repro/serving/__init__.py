@@ -4,7 +4,8 @@ The serving subsystem turns a trained scoring function — the *output* of an
 AutoSF search — into something deployable, in three layers:
 
 * :mod:`repro.serving.artifact` — a versioned, self-contained model artifact
-  (manifest + params + vocab) with descriptive validation errors;
+  (manifest + params + vocab), the one on-disk model format, with
+  descriptive validation errors;
 * :mod:`repro.serving.engine` — the batched :class:`InferenceEngine`:
   heterogeneous head/tail queries grouped per relation through materialized
   :class:`~repro.kge.scoring.base.RelationOperator` s, ``argpartition``

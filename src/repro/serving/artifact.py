@@ -1,17 +1,20 @@
-"""Versioned, self-contained model artifacts for serving.
+"""Versioned, self-contained model artifacts: the one on-disk model format.
 
-An artifact directory is everything inference needs, with nothing implicit:
+``repro-autosf train --save``, a run's ``best/`` directory and
+``repro-autosf export`` all write this layout, so every saved model is
+directly servable.  An artifact directory is everything inference needs,
+with nothing implicit:
 
 * ``manifest.json`` — schema version, scoring-function name (+ block
   structure for searched models), entity/relation counts, the training
   configuration, the parameter file map, and the evaluation metrics recorded
   at export time;
-* ``params/<key>.npy`` — one raw ``.npy`` file per parameter array
-  (schema v2).  Raw ``.npy`` is the point of the layout: every array loads
-  with ``np.load(..., mmap_mode="r")``, so a fleet of serving workers maps
-  the same embedding bytes once through the page cache instead of each
-  holding a private copy (the ``datasets.pipeline`` shard+manifest pattern,
-  applied to model parameters);
+* ``params/<key>.npy`` — one raw ``.npy`` file per parameter array.  Raw
+  ``.npy`` is the point of the layout: every array loads with
+  ``np.load(..., mmap_mode="r")``, so a fleet of serving workers maps the
+  same embedding bytes once through the page cache instead of each holding
+  a private copy (the ``datasets.pipeline`` shard+manifest pattern, applied
+  to model parameters);
 * ``vocab.json`` — optional entity/relation labels, so queries can be posed
   (and answers returned) symbolically.
 
@@ -19,10 +22,8 @@ An artifact directory is everything inference needs, with nothing implicit:
 :func:`load_artifact` validates every piece and raises a descriptive
 :class:`ArtifactError` naming the artifact path on anything missing or
 mismatched, so a half-copied artifact fails loudly at load time rather than
-mysteriously at query time.  ``load_artifact(path, mmap=True)`` returns
-read-only memmap-backed parameter views; schema-v1 artifacts (a single
-``params.npz``) still load through a compatibility shim, falling back to
-read-only in-memory arrays because zipped archives cannot be memory-mapped.
+mysteriously at query time.  Loaded parameters are always read-only;
+``load_artifact(path, mmap=True)`` returns them as memmap-backed views.
 """
 
 from __future__ import annotations
@@ -35,34 +36,27 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.datasets.knowledge_graph import KnowledgeGraph
-from repro.kge.model import (
-    MODEL_VOCAB_FILENAME,
-    KGEModel,
-    check_declared_counts,
-    require_graph_matches_params,
-    scoring_function_from_metadata,
-    scoring_function_metadata,
-    write_vocab_file,
-)
+from repro.kge.model import KGEModel, require_graph_matches_params
 from repro.kge.scoring.base import ParamDict, ScoringFunction
+from repro.kge.scoring.bilinear import BlockScoringFunction
+from repro.kge.scoring.blocks import BlockStructure
+from repro.kge.scoring.registry import get_scoring_function
 from repro.utils.config import TrainingConfig
-from repro.utils.serialization import from_json_file, load_params_npz, to_json_file
+from repro.utils.serialization import from_json_file, to_json_file
 
 PathLike = Union[str, Path]
 
 #: Current artifact schema version; bumped on incompatible layout changes.
-#: v1: all parameters in one ``params.npz`` archive (not memory-mappable).
 #: v2: one raw ``params/<key>.npy`` file per array, mmap-loadable.
 #: v3: v2 layout plus a ``generation`` counter for live hot-swaps; a v2
 #: manifest (no key) loads as ``generation=0``.
 ARTIFACT_SCHEMA_VERSION = 3
+#: Oldest schema :func:`load_artifact` reads; older layouts are migrated
+#: once with the recipe in TESTING.md.
+_MIN_SCHEMA_VERSION = 2
 
 MANIFEST_FILENAME = "manifest.json"
 PARAMS_DIRNAME = "params"
-#: Schema-v1 parameter archive, still read by the compatibility shim.
-LEGACY_PARAMS_FILENAME = "params.npz"
-#: Kept under its historical name for callers that import it.
-PARAMS_FILENAME = LEGACY_PARAMS_FILENAME
 VOCAB_FILENAME = "vocab.json"
 
 #: Manifest keys every artifact must carry.
@@ -74,12 +68,37 @@ _REQUIRED_MANIFEST_KEYS = (
     "config",
 )
 
-#: Parameter keys double as filenames in the v2 layout, so they must be safe.
+#: Parameter keys double as filenames, so they must be safe.
 _PARAM_KEY_PATTERN = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
 class ArtifactError(RuntimeError):
     """An artifact directory is missing pieces, corrupt, or inconsistent."""
+
+
+def scoring_function_metadata(scoring_function: ScoringFunction) -> Dict[str, object]:
+    """The manifest keys :func:`scoring_function_from_metadata` rebuilds from."""
+    metadata: Dict[str, object] = {"scoring_function": scoring_function.name}
+    if isinstance(scoring_function, BlockScoringFunction):
+        metadata["block_structure"] = [
+            list(block) for block in scoring_function.structure.blocks
+        ]
+    return metadata
+
+
+def scoring_function_from_metadata(metadata: Dict[str, object]) -> ScoringFunction:
+    """Rebuild a scoring function from manifest metadata.
+
+    Block-structured models are reconstructed from their stored block list;
+    anything else resolves through the name registry.
+    """
+    name = str(metadata["scoring_function"])
+    if "block_structure" in metadata:
+        structure = BlockStructure(
+            [tuple(block) for block in metadata["block_structure"]], name=name
+        )
+        return BlockScoringFunction(structure, name=name)
+    return get_scoring_function(name)
 
 
 @dataclass
@@ -100,7 +119,7 @@ class ModelArtifact:
     generation: int = 0
     path: Optional[Path] = None
     #: Whether the parameter arrays are memmap-backed views of the artifact
-    #: files (True only for ``load_artifact(mmap=True)`` on a v2 artifact).
+    #: files (True for ``load_artifact(mmap=True)``).
     params_memmap: bool = False
 
     def params_nbytes(self) -> int:
@@ -189,15 +208,32 @@ def _vocab_from_sources(
     graph: Optional[KnowledgeGraph],
     model_directory: Optional[Path],
 ) -> Tuple[Optional[Sequence[str]], Optional[Sequence[str]]]:
-    """Entity/relation labels from the dataset or a saved model's vocab.json."""
+    """Entity/relation labels from the dataset or a saved artifact's vocab.json."""
     if graph is not None and (graph.entity_names or graph.relation_names):
         return graph.entity_names, graph.relation_names
     if model_directory is not None:
-        vocab_path = Path(model_directory) / MODEL_VOCAB_FILENAME
+        vocab_path = Path(model_directory) / VOCAB_FILENAME
         if vocab_path.exists():
             vocab = from_json_file(vocab_path)
             return vocab.get("entity_names"), vocab.get("relation_names")
     return None, None
+
+
+def write_vocab_file(
+    entity_names: Optional[Sequence[str]],
+    relation_names: Optional[Sequence[str]],
+    path: Path,
+) -> Optional[Path]:
+    """Write entity/relation labels as a vocab JSON (no file when both absent)."""
+    if entity_names is None and relation_names is None:
+        return None
+    return to_json_file(
+        {
+            "entity_names": list(entity_names) if entity_names else None,
+            "relation_names": list(relation_names) if relation_names else None,
+        },
+        path,
+    )
 
 
 def export_artifact(
@@ -219,8 +255,8 @@ def export_artifact(
         Optional evaluation metrics to embed in the manifest (e.g. filtered
         test MRR at export time).
     model_directory:
-        Optional directory the model was loaded from; its ``vocab.json`` is
-        reused when no ``graph`` is given.
+        Optional artifact directory the model was loaded from; its
+        ``vocab.json`` is reused when no ``graph`` is given.
     generation:
         Live-index generation the parameters correspond to (the source
         store's :attr:`~repro.datasets.TripleStore.generation` after a
@@ -261,9 +297,8 @@ def export_artifact(
 def _write_params_dir(params: ParamDict, base: Path) -> Dict[str, str]:
     """Write each parameter array as a raw ``params/<key>.npy`` file.
 
-    Returns the manifest's parameter map (key → relative file path).  Raw
-    ``.npy`` (not ``.npz``) is deliberate: zipped archives cannot be
-    memory-mapped, per-array files can.
+    Returns the manifest's parameter map (key → relative file path).  One
+    raw file per array is deliberate: each can be memory-mapped.
     """
     params_dir = base / PARAMS_DIRNAME
     params_dir.mkdir(parents=True, exist_ok=True)
@@ -303,29 +338,14 @@ def _read_manifest(base: Path) -> Dict[str, object]:
     return manifest
 
 
-def _load_params_v1(base: Path) -> ParamDict:
-    """Compatibility shim for schema-v1 artifacts (a single ``params.npz``)."""
-    prefix = f"cannot load artifact from {base}"
-    params_path = base / LEGACY_PARAMS_FILENAME
-    if not params_path.exists():
-        raise ArtifactError(
-            f"{prefix}: missing {LEGACY_PARAMS_FILENAME} "
-            f"(expected a directory written by export_artifact)"
-        )
-    try:
-        return load_params_npz(params_path, required_keys=("entities", "relations"))
-    except (ValueError, OSError) as error:
-        raise ArtifactError(f"{prefix}: {error}") from error
-
-
-def _load_params_v2(base: Path, manifest: Dict[str, object], mmap: bool) -> ParamDict:
-    """Load the raw ``params/<key>.npy`` files of a schema-v2 artifact."""
+def _load_params(base: Path, manifest: Dict[str, object], mmap: bool) -> ParamDict:
+    """Load the raw ``params/<key>.npy`` files the manifest maps."""
     prefix = f"cannot load artifact from {base}"
     param_files = manifest.get("params")
     if not isinstance(param_files, dict) or not param_files:
         raise ArtifactError(
             f"{prefix}: {MANIFEST_FILENAME} has no 'params' file map "
-            f"(expected a schema-v2 directory written by export_artifact)"
+            f"(expected a directory written by export_artifact)"
         )
     missing = [name for name in ("entities", "relations") if name not in param_files]
     if missing:
@@ -335,7 +355,14 @@ def _load_params_v2(base: Path, manifest: Dict[str, object], mmap: bool) -> Para
         )
     params: ParamDict = {}
     for key, relative in param_files.items():
-        path = base / str(relative)
+        # The path is fully determined by the key, so a manifest cannot
+        # point outside the artifact (absolute paths, '..').
+        if not _PARAM_KEY_PATTERN.match(key) or relative != f"{PARAMS_DIRNAME}/{key}.npy":
+            raise ArtifactError(
+                f"{prefix}: {MANIFEST_FILENAME} maps parameter {key!r} to "
+                f"{relative!r}; expected '{PARAMS_DIRNAME}/<key>.npy' with a safe key"
+            )
+        path = base / relative
         if not path.exists():
             raise ArtifactError(
                 f"{prefix}: missing parameter file {relative} "
@@ -352,6 +379,13 @@ def _load_params_v2(base: Path, manifest: Dict[str, object], mmap: bool) -> Para
         except ValueError as error:
             raise ArtifactError(f"{prefix}: {relative} is not a valid .npy file ({error})") from error
         params[key] = array
+    for key, count_key in (("entities", "num_entities"), ("relations", "num_relations")):
+        declared = int(manifest[count_key])
+        if declared != int(params[key].shape[0]):
+            raise ArtifactError(
+                f"{prefix}: {MANIFEST_FILENAME} declares {declared} {key} "
+                f"but {PARAMS_DIRNAME}/{key}.npy holds {int(params[key].shape[0])}"
+            )
     return params
 
 
@@ -361,43 +395,25 @@ def load_artifact(directory: PathLike, mmap: bool = False) -> ModelArtifact:
     Parameters
     ----------
     mmap:
-        With ``True``, schema-v2 parameter arrays are returned as read-only
+        With ``True``, parameter arrays are returned as read-only
         ``np.memmap`` views — the OS page cache then holds one shared copy
         of the embeddings no matter how many worker processes load the same
-        artifact.  Schema-v1 artifacts cannot be memory-mapped (``.npz`` is
-        a zip archive) and fall back to read-only in-memory arrays; check
-        :attr:`ModelArtifact.params_memmap` for what actually happened.
-        In both modes the arrays are immutable: serving never trains.
+        artifact.  In both modes the arrays are immutable: a caller that
+        trains a loaded model copies them first.
     """
     base = Path(directory)
     if not base.is_dir():
         raise ArtifactError(f"artifact directory {base} does not exist")
     manifest = _read_manifest(base)
     schema_version = int(manifest["schema_version"])
-    if schema_version > ARTIFACT_SCHEMA_VERSION or schema_version < 1:
+    if not _MIN_SCHEMA_VERSION <= schema_version <= ARTIFACT_SCHEMA_VERSION:
         raise ArtifactError(
             f"artifact {base} has schema version {schema_version}, but this "
-            f"build reads versions 1..{ARTIFACT_SCHEMA_VERSION}; re-export the model"
+            f"build reads versions {_MIN_SCHEMA_VERSION}..{ARTIFACT_SCHEMA_VERSION}; "
+            f"re-export the model (a legacy params.npz layout migrates with the "
+            f"recipe under 'Migrating legacy model directories' in TESTING.md)"
         )
-    params_memmap = False
-    if schema_version == 1:
-        params = _load_params_v1(base)
-        if mmap:
-            # .npz archives decompress on read; share-by-page is impossible,
-            # so the shim serves read-only in-memory arrays instead.
-            for array in params.values():
-                array.flags.writeable = False
-    else:
-        params = _load_params_v2(base, manifest, mmap)
-        params_memmap = mmap
-    check_declared_counts(
-        manifest,
-        params,
-        ArtifactError,
-        f"cannot load artifact from {base}",
-        MANIFEST_FILENAME,
-        PARAMS_DIRNAME if schema_version >= 2 else LEGACY_PARAMS_FILENAME,
-    )
+    params = _load_params(base, manifest, mmap)
 
     try:
         scoring_function = scoring_function_from_metadata(manifest)
@@ -446,5 +462,5 @@ def load_artifact(directory: PathLike, mmap: bool = False) -> ModelArtifact:
         schema_version=schema_version,
         generation=int(generation),
         path=base,
-        params_memmap=params_memmap,
+        params_memmap=mmap,
     )

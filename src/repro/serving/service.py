@@ -65,6 +65,11 @@ QUERY_PLACEHOLDER = "?"
 #: batch of tens of thousands of queries fits.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Seconds a connection may sit in one socket read or write before the
+#: handler drops it, so a client that sends half a request cannot hold a
+#: handler thread forever.
+CONNECTION_TIMEOUT_S = 30.0
+
 
 @dataclass
 class QueryRequest:
@@ -94,15 +99,30 @@ class QueryRequest:
         missing = [key for key in ("direction", "entity", "relation") if key not in data]
         if missing:
             raise ValueError(f"query is missing required fields: {', '.join(missing)}")
+        for key in ("entity", "relation", "top_k"):
+            value = data.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ValueError(
+                    f"query field {key!r} must be an integer or a string, "
+                    f"got {type(value).__name__}"
+                )
         entity, relation = data["entity"], data["relation"]
+        top_k = int(data.get("top_k", 10))
         if artifact is not None:
             entity = artifact.entity_id(entity)
             relation = artifact.relation_id(relation)
+            # The engine clips top_k; here a value above the served entity
+            # count is refused instead, or each distinct one would cache
+            # another full-vocabulary answer.
+            if "top_k" in data and top_k > artifact.num_entities:
+                raise ValueError(
+                    f"top_k {top_k} exceeds the {artifact.num_entities} served entities"
+                )
         return cls(
             direction=str(data["direction"]),
             entity=int(entity),
             relation=int(relation),
-            top_k=int(data.get("top_k", 10)),
+            top_k=top_k,
             filtered=bool(data.get("filtered", False)),
         )
 
@@ -532,6 +552,12 @@ class QueryHandler(BaseHTTPRequestHandler):
     server: QueryServer
 
     # -- plumbing ---------------------------------------------------------
+    def setup(self) -> None:
+        # The per-connection socket timeout: http.server closes a connection
+        # whose read or write stalls longer than this.
+        self.timeout = CONNECTION_TIMEOUT_S
+        super().setup()
+
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if not self.server.quiet:  # pragma: no cover - console logging only
             super().log_message(format, *args)

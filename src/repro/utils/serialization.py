@@ -1,16 +1,11 @@
-"""JSON and ``.npz`` serialization helpers shared by models and artifacts.
-
-The JSON helpers understand NumPy scalars and arrays; the ``.npz`` helpers
-read and write parameter dicts (named float arrays) with the key validation
-that model loading and artifact loading both need.
-"""
+"""JSON serialization helpers that understand NumPy scalars and arrays."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Sequence, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -52,30 +47,3 @@ def to_json_file(data: Any, path: PathLike, indent: int = 2) -> Path:
 def from_json_file(path: PathLike) -> Any:
     """Load JSON from ``path``."""
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def save_params_npz(params: Dict[str, np.ndarray], path: PathLike) -> Path:
-    """Write a parameter dict as an uncompressed ``.npz`` archive."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(target, **params)
-    return target
-
-
-def load_params_npz(path: PathLike, required_keys: Sequence[str] = ()) -> Dict[str, np.ndarray]:
-    """Load a parameter dict from ``path``, checking that required keys exist.
-
-    Raises ``ValueError`` naming the file and the missing arrays, so callers
-    (model and artifact loading) surface half-written archives descriptively
-    instead of with a bare ``KeyError``.
-    """
-    target = Path(path)
-    with np.load(target) as archive:
-        params = {key: archive[key] for key in archive.files}
-    missing = [key for key in required_keys if key not in params]
-    if missing:
-        raise ValueError(
-            f"parameter archive {target} is missing required arrays: "
-            f"{', '.join(missing)} (found: {', '.join(sorted(params)) or 'none'})"
-        )
-    return params

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.datasets import write_tsv_dataset
 from repro.experiments import DatasetSpec, ExperimentSpec, SearchSpec
+from repro.serving import load_artifact
 from repro.utils.config import PredictorConfig, TrainingConfig
 
 
@@ -89,7 +90,8 @@ class TestCommands:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "distmult on wn18rr-mini" in captured
-        assert (tmp_path / "model" / "params.npz").exists()
+        # --save writes a serving artifact, servable and mmap-loadable as is.
+        assert load_artifact(tmp_path / "model", mmap=True).params_memmap
 
     def test_search_with_small_budget(self, capsys):
         exit_code = main(
@@ -203,7 +205,7 @@ class TestExperimentCommands:
         assert (greedy_dir / "spec.json").exists()
         assert (greedy_dir / "report.json").exists()
         assert (greedy_dir / "history.jsonl").exists()
-        assert (greedy_dir / "best" / "params.npz").exists()
+        assert (greedy_dir / "best" / "manifest.json").exists()
 
         assert main(["run", str(random_spec), "--run-dir", str(random_dir)]) == 0
         capsys.readouterr()

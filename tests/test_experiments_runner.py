@@ -59,7 +59,7 @@ class TestRunDirectoryContract:
     def test_required_files_written(self, completed_run):
         for name in (SPEC_FILENAME, MANIFEST_FILENAME, HISTORY_FILENAME, REPORT_FILENAME):
             assert (completed_run.path / name).exists(), name
-        assert (completed_run.path / "best" / "params.npz").exists()
+        assert (completed_run.path / "best" / "manifest.json").exists()
         assert list((completed_run.path / "evaluations").glob("*.json"))
 
     def test_manifest_contents(self, completed_run):
@@ -92,9 +92,11 @@ class TestRunDirectoryContract:
         model = completed_run.load_best_model()
         answers = model.predict_tails(0, 0, top_k=3)
         assert len(answers) == 3
+        # best/ is a serving artifact as written: servable and mmap-loadable.
+        assert load_artifact(completed_run.best_model_dir(), mmap=True).params_memmap
 
     def test_resume_retrains_nothing(self, completed_run):
-        best_params = completed_run.path / "best" / "params.npz"
+        best_params = completed_run.path / "best" / "params" / "entities.npy"
         before = best_params.stat().st_mtime_ns
         record = ExperimentRunner(_quick_spec(), completed_run.path).run()
         assert record.report["num_trained"] == 0

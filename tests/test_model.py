@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.kge import KGEModel, ModelLoadError, train_model
+from repro.kge import KGEModel, train_model
 from repro.kge.scoring import BlockScoringFunction, DistMult, classical_structure
 from repro.core.search_space import random_structure
-from repro.serving import known_positive_index
+from repro.serving import ArtifactError, export_artifact, known_positive_index, load_artifact
 from repro.utils.config import TrainingConfig
 from repro.utils.serialization import from_json_file, to_json_file
 
@@ -117,9 +117,14 @@ class TestEvaluationAndClassification:
 
 
 class TestSerialization:
+    """A model's one on-disk format is the serving artifact (``train --save``)."""
+
+    @staticmethod
+    def reload(directory):
+        return load_artifact(directory).to_model()
+
     def test_save_and_load_named_model(self, trained_model, tiny_graph, tmp_path):
-        directory = trained_model.save(tmp_path / "model")
-        loaded = KGEModel.load(directory)
+        loaded = self.reload(export_artifact(trained_model, tmp_path / "model"))
         original = trained_model.evaluate(tiny_graph, split="valid").mrr
         restored = loaded.evaluate(tiny_graph, split="valid").mrr
         assert restored == pytest.approx(original)
@@ -127,68 +132,73 @@ class TestSerialization:
     def test_save_and_load_block_structure_model(self, tiny_graph, fast_training_config, tmp_path):
         structure = classical_structure("analogy")
         model = train_model(tiny_graph, structure, fast_training_config)
-        loaded = KGEModel.load(model.save(tmp_path / "blockmodel"))
+        loaded = self.reload(export_artifact(model, tmp_path / "blockmodel"))
         assert isinstance(loaded.scoring_function, BlockScoringFunction)
         assert loaded.scoring_function.structure.key() == structure.key()
+        assert loaded.config == model.config
 
     def test_loaded_scores_match(self, trained_model, tiny_graph, tmp_path):
-        loaded = KGEModel.load(trained_model.save(tmp_path / "scores"))
+        loaded = self.reload(export_artifact(trained_model, tmp_path / "scores"))
         triples = tiny_graph.test[:4]
-        np.testing.assert_allclose(loaded.score(triples), trained_model.score(triples))
+        np.testing.assert_array_equal(loaded.score(triples), trained_model.score(triples))
+        assert not loaded.params["entities"].flags.writeable
 
     def test_save_without_params_raises(self, tmp_path):
         model = KGEModel(DistMult(), TrainingConfig(dimension=8, epochs=1))
-        with pytest.raises(RuntimeError):
-            model.save(tmp_path / "nothing")
+        with pytest.raises(ArtifactError, match="untrained"):
+            export_artifact(model, tmp_path / "nothing")
 
     def test_save_persists_counts_and_vocab(self, trained_model, tiny_graph, tmp_path):
-        directory = trained_model.save(tmp_path / "standalone", graph=tiny_graph)
-        metadata = from_json_file(directory / "model.json")
-        assert metadata["num_entities"] == tiny_graph.num_entities
-        assert metadata["num_relations"] == tiny_graph.num_relations
+        directory = export_artifact(trained_model, tmp_path / "standalone", graph=tiny_graph)
+        manifest = from_json_file(directory / "manifest.json")
+        assert manifest["num_entities"] == tiny_graph.num_entities
+        assert manifest["num_relations"] == tiny_graph.num_relations
         vocab = from_json_file(directory / "vocab.json")
         assert vocab["relation_names"] == list(tiny_graph.relation_names)
 
     def test_save_rejects_mismatched_graph(self, trained_model, micro_graph, tmp_path):
-        with pytest.raises(ValueError, match="does not match"):
-            trained_model.save(tmp_path / "mismatch", graph=micro_graph)
+        with pytest.raises(ArtifactError, match="does not match"):
+            export_artifact(trained_model, tmp_path / "mismatch", graph=micro_graph)
 
 
 class TestLoadValidation:
+    """A missing or half-written model directory fails naming the broken piece."""
+
+    @pytest.fixture()
+    def saved(self, trained_model, tmp_path):
+        return export_artifact(trained_model, tmp_path / "saved")
+
+    @staticmethod
+    def edit_manifest(directory, edit):
+        manifest = from_json_file(directory / "manifest.json")
+        edit(manifest)
+        to_json_file(manifest, directory / "manifest.json")
+
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(ModelLoadError, match="missing model.json, params.npz"):
-            KGEModel.load(tmp_path / "nowhere")
+        with pytest.raises(ArtifactError, match="does not exist"):
+            load_artifact(tmp_path / "nowhere")
 
-    def test_half_written_directory(self, trained_model, tmp_path):
-        directory = trained_model.save(tmp_path / "half")
-        (directory / "params.npz").unlink()
-        with pytest.raises(ModelLoadError, match="params.npz"):
-            KGEModel.load(directory)
+    def test_half_written_directory(self, saved):
+        (saved / "params" / "relations.npy").unlink()
+        with pytest.raises(ArtifactError, match="params/relations.npy"):
+            load_artifact(saved)
 
-    def test_corrupt_metadata(self, trained_model, tmp_path):
-        directory = trained_model.save(tmp_path / "corrupt")
-        (directory / "model.json").write_text("{oops", encoding="utf-8")
-        with pytest.raises(ModelLoadError, match="not valid JSON"):
-            KGEModel.load(directory)
+    def test_corrupt_metadata(self, saved):
+        (saved / "manifest.json").write_text("{oops", encoding="utf-8")
+        with pytest.raises(ArtifactError, match="not valid JSON"):
+            load_artifact(saved)
 
-    def test_missing_metadata_keys(self, trained_model, tmp_path):
-        directory = trained_model.save(tmp_path / "nokeys")
-        metadata = from_json_file(directory / "model.json")
-        del metadata["config"]
-        to_json_file(metadata, directory / "model.json")
-        with pytest.raises(ModelLoadError, match="missing required keys: config"):
-            KGEModel.load(directory)
+    def test_missing_metadata_keys(self, saved):
+        self.edit_manifest(saved, lambda manifest: manifest.pop("config"))
+        with pytest.raises(ArtifactError, match="missing required keys: config"):
+            load_artifact(saved)
 
-    def test_missing_param_arrays(self, trained_model, tmp_path):
-        directory = trained_model.save(tmp_path / "noarrays")
-        np.savez(directory / "params.npz", entities=trained_model.params["entities"])
-        with pytest.raises(ModelLoadError, match="relations"):
-            KGEModel.load(directory)
+    def test_missing_param_arrays(self, saved):
+        self.edit_manifest(saved, lambda manifest: manifest["params"].pop("relations"))
+        with pytest.raises(ArtifactError, match="missing required arrays: relations"):
+            load_artifact(saved)
 
-    def test_count_mismatch(self, trained_model, tmp_path):
-        directory = trained_model.save(tmp_path / "badcount")
-        metadata = from_json_file(directory / "model.json")
-        metadata["num_entities"] += 3
-        to_json_file(metadata, directory / "model.json")
-        with pytest.raises(ModelLoadError, match="declares"):
-            KGEModel.load(directory)
+    def test_count_mismatch(self, saved):
+        self.edit_manifest(saved, lambda manifest: manifest.update(num_entities=manifest["num_entities"] + 3))
+        with pytest.raises(ArtifactError, match="declares"):
+            load_artifact(saved)

@@ -1,5 +1,7 @@
 """Tests for the versioned serving artifact (export / load round-trips)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,29 +14,9 @@ from repro.serving import (
     export_artifact,
     load_artifact,
 )
-from repro.serving.artifact import LEGACY_PARAMS_FILENAME, PARAMS_DIRNAME
+from repro.serving.artifact import PARAMS_DIRNAME, scoring_function_metadata
 from repro.utils.config import TrainingConfig
-from repro.utils.serialization import from_json_file, save_params_npz, to_json_file
-
-
-def write_legacy_artifact(directory, model):
-    """Write a schema-v1 artifact (single params.npz) the way PR 3 did."""
-    from repro.kge.model import scoring_function_metadata
-
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = scoring_function_metadata(model.scoring_function)
-    manifest.update(
-        {
-            "schema_version": 1,
-            "num_entities": int(model.params["entities"].shape[0]),
-            "num_relations": int(model.params["relations"].shape[0]),
-            "config": model.config.to_dict(),
-            "metrics": {},
-        }
-    )
-    to_json_file(manifest, directory / "manifest.json")
-    save_params_npz(model.params, directory / LEGACY_PARAMS_FILENAME)
-    return directory
+from repro.utils.serialization import from_json_file, to_json_file
 
 #: One representative per scoring family (block, full-matrix, translational,
 #: rotational, neural), plus a searched block structure below.
@@ -91,7 +73,7 @@ class TestRoundTrip:
 
     def test_vocab_reused_from_model_directory(self, family_models, tiny_graph, tmp_path):
         model = family_models["complex"]
-        model_dir = model.save(tmp_path / "saved", graph=tiny_graph)
+        model_dir = export_artifact(model, tmp_path / "saved", graph=tiny_graph)
         artifact = load_artifact(
             export_artifact(model, tmp_path / "from_saved", model_directory=model_dir)
         )
@@ -99,7 +81,7 @@ class TestRoundTrip:
 
 
 class TestSchemaV2Layout:
-    """Raw per-array .npy layout (v2, unchanged in v3), mmap-loadable, v1 readable."""
+    """Raw per-array .npy layout (v2, unchanged in v3), mmap-loadable."""
 
     @pytest.fixture()
     def artifact_dir(self, family_models, tiny_graph, tmp_path):
@@ -112,7 +94,7 @@ class TestSchemaV2Layout:
         for relative in manifest["params"].values():
             assert (artifact_dir / relative).exists()
             assert relative.startswith(f"{PARAMS_DIRNAME}/")
-        assert not (artifact_dir / LEGACY_PARAMS_FILENAME).exists()
+        assert not list(artifact_dir.rglob("*.npz"))
 
     def test_mmap_load_returns_readonly_memmap_views(self, family_models, artifact_dir):
         artifact = load_artifact(artifact_dir, mmap=True)
@@ -141,21 +123,6 @@ class TestSchemaV2Layout:
         np.testing.assert_array_equal(
             mapped.to_model().score(triples), memory.to_model().score(triples)
         )
-
-    def test_legacy_v1_artifact_loads(self, family_models, tiny_graph, tmp_path):
-        model = family_models["complex"]
-        legacy = write_legacy_artifact(tmp_path / "v1", model)
-        artifact = load_artifact(legacy)
-        assert artifact.schema_version == 1
-        np.testing.assert_array_equal(
-            artifact.params["entities"], model.params["entities"]
-        )
-
-    def test_legacy_v1_mmap_falls_back_to_memory(self, family_models, tmp_path):
-        legacy = write_legacy_artifact(tmp_path / "v1-mmap", family_models["complex"])
-        artifact = load_artifact(legacy, mmap=True)
-        assert not artifact.params_memmap  # .npz cannot be memory-mapped
-        assert not artifact.params["entities"].flags.writeable
 
     def test_missing_param_file_named(self, artifact_dir):
         (artifact_dir / PARAMS_DIRNAME / "entities.npy").unlink()
@@ -195,12 +162,6 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="params/relations.npy"):
             load_artifact(artifact_dir)
 
-    def test_legacy_missing_params_archive(self, family_models, tmp_path):
-        legacy = write_legacy_artifact(tmp_path / "legacy", family_models["complex"])
-        (legacy / LEGACY_PARAMS_FILENAME).unlink()
-        with pytest.raises(ArtifactError, match="params.npz"):
-            load_artifact(legacy)
-
     def test_missing_manifest(self, artifact_dir):
         (artifact_dir / "manifest.json").unlink()
         with pytest.raises(ArtifactError, match="manifest.json"):
@@ -225,6 +186,19 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="schema version"):
             load_artifact(artifact_dir)
 
+    @pytest.mark.parametrize("form", ["absolute", "parent"])
+    def test_param_path_outside_artifact_rejected(self, artifact_dir, tmp_path, form):
+        # A valid array, so only the path check can stop the load.
+        outside = tmp_path / "outside.npy"
+        np.save(outside, np.load(artifact_dir / PARAMS_DIRNAME / "entities.npy"))
+        manifest = from_json_file(artifact_dir / "manifest.json")
+        manifest["params"]["entities"] = (
+            str(outside) if form == "absolute" else f"../{outside.name}"
+        )
+        to_json_file(manifest, artifact_dir / "manifest.json")
+        with pytest.raises(ArtifactError, match="expected 'params/<key>.npy'"):
+            load_artifact(artifact_dir)
+
     def test_count_mismatch(self, artifact_dir):
         manifest = from_json_file(artifact_dir / "manifest.json")
         manifest["num_entities"] += 1
@@ -246,3 +220,58 @@ class TestValidation:
             artifact.relation_id("no_such_relation")
         with pytest.raises(KeyError, match="out of range"):
             artifact.entity_id(10**6)
+
+
+def read_migrate_recipe():
+    """The migrate recipe's code block, exactly as TESTING.md documents it."""
+    text = (Path(__file__).resolve().parents[1] / "TESTING.md").read_text(encoding="utf-8")
+    block = text.split("<!-- migrate-recipe -->", 1)[1]
+    return block.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestMigrateRecipe:
+    """TESTING.md's one recipe migrates both legacy ``params.npz`` layouts."""
+
+    @staticmethod
+    def write_legacy(directory, model, layout, graph):
+        directory.mkdir(parents=True)
+        metadata = scoring_function_metadata(model.scoring_function)
+        metadata.update(
+            config=model.config.to_dict(),
+            num_entities=int(model.params["entities"].shape[0]),
+            num_relations=int(model.params["relations"].shape[0]),
+        )
+        if layout == "model_dir":  # train --save / best/ before the artifact format
+            to_json_file(metadata, directory / "model.json")
+            to_json_file({"entity_names": None, "relation_names": list(graph.relation_names)},
+                         directory / "vocab.json")
+        else:  # schema-v1 artifact
+            metadata.update(schema_version=1, metrics={"test_mrr": 0.5})
+            to_json_file(metadata, directory / "manifest.json")
+        np.savez(directory / "params.npz", **model.params)
+        return directory
+
+    @pytest.mark.parametrize("layout", ["model_dir", "artifact_v1"])
+    @pytest.mark.parametrize("name", ["complex", "searched"])
+    def test_migrated_scores_bit_identical(self, family_models, tiny_graph, tmp_path, layout, name):
+        model = family_models[name]
+        legacy = self.write_legacy(tmp_path / "legacy", model, layout, tiny_graph)
+        if layout == "artifact_v1":
+            # The version check points at the recipe instead of loading.
+            with pytest.raises(ArtifactError, match="Migrating legacy model directories"):
+                load_artifact(legacy)
+        namespace = {"__name__": "migrate_legacy"}
+        exec(compile(read_migrate_recipe(), "TESTING.md", "exec"), namespace)
+        migrated = load_artifact(namespace["migrate"](legacy, tmp_path / "new"), mmap=True)
+
+        assert migrated.params_memmap
+        assert set(migrated.params) == set(model.params)
+        for key, array in model.params.items():
+            np.testing.assert_array_equal(migrated.params[key], array)
+        triples = tiny_graph.test
+        np.testing.assert_array_equal(migrated.to_model().score(triples), model.score(triples))
+        assert migrated.to_model().config == model.config
+        if layout == "model_dir":
+            assert migrated.relation_names == tiny_graph.relation_names
+        else:
+            assert migrated.metrics == {"test_mrr": 0.5}

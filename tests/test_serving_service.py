@@ -188,6 +188,46 @@ class TestHTTPService:
         assert excinfo.value.code == 400
         assert "missing required fields" in json.loads(excinfo.value.read())["error"]
 
+        # A null, list or object in a numeric field used to raise TypeError
+        # out of do_POST: the handler thread died without answering.
+        query = {"direction": "tail", "entity": 0, "relation": 0, "top_k": 3}
+        for key in ("entity", "relation", "top_k"):
+            for value in (None, [1], {"id": 1}):
+                _, before = self._get(server, "/stats")
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    self._post(server, "/query", {**query, key: value})
+                assert excinfo.value.code == 400, (key, value)
+                assert key in json.loads(excinfo.value.read())["error"]
+                _, after = self._get(server, "/stats")
+                assert after["http_errors"] == before["http_errors"] + 1
+
+    def test_top_k_above_entity_count_returns_400(self, server, artifact):
+        query = {"direction": "tail", "entity": 0, "relation": 0}
+        status, payload = self._post(server, "/query", {**query, "top_k": artifact.num_entities})
+        assert status == 200 and len(payload["predictions"]) == artifact.num_entities
+        for top_k in (artifact.num_entities + 1, 10**9):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(server, "/query", {"queries": [query, {**query, "top_k": top_k}]})
+            assert excinfo.value.code == 400
+            assert "exceeds" in json.loads(excinfo.value.read())["error"]
+
+    def test_stalled_client_is_dropped(self, server, monkeypatch):
+        from repro.serving import service
+
+        monkeypatch.setattr(service, "CONNECTION_TIMEOUT_S", 0.5)
+        port = server.server_address[1]
+        stalled = [
+            b"POST /query HTTP/1.1\r\nHost: localhost\r\n",  # headers never end
+            b"POST /query HTTP/1.1\r\nHost: localhost\r\nContent-Length: 64\r\n\r\n{",
+        ]
+        for request in stalled:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(request)
+                # The server hangs up (EOF) instead of waiting forever.
+                assert sock.recv(1024) == b""
+        status, payload = self._get(server, "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+
     def test_unknown_path_returns_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._get(server, "/nope")
