@@ -52,6 +52,7 @@ from repro.kge.model import KGEModel
 from repro.live import compact_store, finetune_delta
 from repro.obs.metrics import MetricsRegistry, NullRegistry, get_registry, set_registry
 from repro.serving import (
+    EngineReloader,
     InferenceEngine,
     ServingFleet,
     export_artifact,
@@ -305,8 +306,7 @@ def build_report(quick: bool) -> tuple:
         current.symlink_to(gen_dir)
 
         fleet = ServingFleet(
-            current, host=HOST, port=0, workers=2,
-            micro_batch_window_ms=0.0, result_cache_size=0,
+            EngineReloader(current, result_cache_size=0), host=HOST, port=0, workers=2,
         )
         port = fleet.start()
         round_rows = []

@@ -52,6 +52,7 @@ from repro.analysis import format_table
 from repro.kge.model import KGEModel
 from repro.kge.scoring import get_scoring_function
 from repro.serving import (
+    EngineReloader,
     InferenceEngine,
     ServingFleet,
     export_artifact,
@@ -232,14 +233,16 @@ def run_fleet_point(
     parent_private_baseline: int,
 ):
     fleet = ServingFleet(
-        artifact_dir,
+        EngineReloader(
+            artifact_dir,
+            micro_batch_window_s=window_ms / 1000.0,
+            # Keep the transient score slab (batch x entities float64) small so
+            # per-worker private RSS reflects artifact sharing, not scratch space.
+            batch_size=32,
+        ),
         host=HOST,
         port=0,
         workers=workers,
-        micro_batch_window_ms=window_ms,
-        # Keep the transient score slab (batch x entities float64) small so
-        # per-worker private RSS reflects artifact sharing, not scratch space.
-        batch_size=32,
     )
     port = fleet.start()
     try:
@@ -287,12 +290,10 @@ def check_http_parity(artifact_dir: Path, workload, top_k: int) -> int:
     for start in range(0, len(sample), chunk):
         expected.extend(oracle.query_batch(sample[start : start + chunk], top_k=top_k))
     fleet = ServingFleet(
-        artifact_dir,
+        EngineReloader(artifact_dir, result_cache_size=0),
         host=HOST,
         port=0,
         workers=2,
-        micro_batch_window_ms=0.0,
-        result_cache_size=0,
     )
     port = fleet.start()
     try:

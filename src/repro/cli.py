@@ -90,6 +90,7 @@ from repro.serving import (
     ArtifactError,
     EngineReloader,
     InferenceEngine,
+    QueryServer,
     ServingFleet,
     answer_queries,
     export_artifact,
@@ -97,9 +98,9 @@ from repro.serving import (
     known_positive_index,
     load_artifact,
     read_query_file,
-    serve_forever,
     validate_serve_options,
 )
+from repro.serving.fleet import prepare_filter_index
 from repro.utils.config import ConfigError, TrainingConfig
 
 
@@ -442,9 +443,9 @@ def command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_artifact_or_exit(path: str):
+def _load_artifact_or_exit(path: str, mmap: bool = False):
     try:
-        return load_artifact(path)
+        return load_artifact(path, mmap=mmap)
     except ArtifactError as error:
         raise SystemExit(str(error))
 
@@ -489,16 +490,6 @@ def _serving_filter_index(args: argparse.Namespace, artifact):
             f"--benchmark/--data (and matching --scale/--seed)"
         )
     return known_positive_index(graph)
-
-
-def _build_engine(args: argparse.Namespace, artifact) -> InferenceEngine:
-    """The shared engine construction behind ``query`` and ``serve``."""
-    return InferenceEngine.from_artifact(
-        artifact,
-        filter_index=_serving_filter_index(args, artifact),
-        batch_size=args.batch_size,
-        entity_chunk_size=args.entity_chunk_size,
-    )
 
 
 def command_export(args: argparse.Namespace) -> int:
@@ -549,7 +540,12 @@ def command_export(args: argparse.Namespace) -> int:
 
 def command_query(args: argparse.Namespace) -> int:
     artifact = _load_artifact_or_exit(args.artifact)
-    engine = _build_engine(args, artifact)
+    engine = InferenceEngine.from_artifact(
+        artifact,
+        filter_index=_serving_filter_index(args, artifact),
+        batch_size=args.batch_size,
+        entity_chunk_size=args.entity_chunk_size,
+    )
     try:
         requests = read_query_file(
             args.queries, artifact, top_k=args.top_k, filtered=args.filter
@@ -581,50 +577,42 @@ def command_serve(args: argparse.Namespace) -> int:
         validate_serve_options(args.port, args.workers, window_ms)
     except ConfigError as error:
         raise SystemExit(str(error))
-    artifact = _load_artifact_or_exit(args.artifact)
-    if args.workers > 1:
-        try:
-            fleet = ServingFleet(
-                args.artifact,
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                batch_size=args.batch_size,
-                entity_chunk_size=args.entity_chunk_size,
-                micro_batch_window_ms=window_ms,
-                filter_index=_serving_filter_index(args, artifact),
-                quiet=False,
-            )
-        except (ArtifactError, ConfigError) as error:
-            raise SystemExit(str(error))
-        return fleet.run()  # pragma: no cover - blocking loop
-    # Install a real registry before engine construction so the engine's
-    # counters (and the server's /metrics endpoint) bind to it.
-    registry = MetricsRegistry()
-    set_registry(registry)
-    engine = _build_engine(args, artifact)
-    # The reloader rebuilds from the artifact directory on POST /reload or
-    # SIGHUP; note it does not re-derive a --filter index from the dataset
-    # flags — save one beside the artifact (<dir>/filter_index) to keep
-    # filtered queries working across hot swaps.
+    # A memmap load validates the artifact (and the --filter dataset
+    # against it) without reading the embeddings; the recipe below does
+    # the real load.
+    artifact = _load_artifact_or_exit(args.artifact, mmap=True)
+    if args.filter:
+        # Saved beside the artifact, where every worker count, /reload and
+        # SIGHUP of this directory find it.
+        prepare_filter_index(_serving_filter_index(args, artifact), args.artifact)
     reloader = EngineReloader(
         artifact_dir=args.artifact,
         batch_size=args.batch_size,
         entity_chunk_size=args.entity_chunk_size,
         micro_batch_window_s=window_ms / 1000.0,
-        registry=registry,
     )
+    if args.workers > 1:
+        try:
+            fleet = ServingFleet(
+                reloader, host=args.host, port=args.port, workers=args.workers, quiet=False
+            )
+        except (ArtifactError, ConfigError) as error:
+            raise SystemExit(str(error))
+        return fleet.run()  # pragma: no cover - blocking loop
+    # Install a real registry before the engine is built so the engine's
+    # counters (and the server's /metrics endpoint) bind to it.
+    set_registry(MetricsRegistry())
+    try:
+        server = QueryServer((args.host, args.port), reloader, quiet=False)
+    except (ArtifactError, ValueError) as error:
+        raise SystemExit(str(error))
     print(f"serving {artifact.scoring_function.name} "
           f"({artifact.num_entities} entities, {artifact.num_relations} relations, "
           f"generation {artifact.generation}, schema v{artifact.schema_version}) "
-          f"on http://{args.host}:{args.port} — POST /query, POST /reload, "
-          f"GET /stats, GET /metrics, GET /healthz")
-    serve_forever(  # pragma: no cover - blocking loop
-        engine, artifact, host=args.host, port=args.port,
-        micro_batch_window_s=window_ms / 1000.0, registry=registry,
-        reloader=reloader,
-    )
-    return 0  # pragma: no cover
+          f"on http://{args.host}:{server.server_port} — POST /query, POST /reload, "
+          f"GET /stats, GET /metrics, GET /healthz", flush=True)
+    server.run()
+    return 0
 
 
 def command_trace(args: argparse.Namespace) -> int:

@@ -14,6 +14,11 @@ The trainer composes ``score_candidates``/``grad_candidates`` with a loss;
 the evaluator only needs ``score_candidates``.  Keeping gradients analytic
 (no autograd) is what makes a pure-NumPy search over hundreds of candidate
 scoring functions tractable.
+
+Serving reuses the training engine's chunk-aware candidate pass: a
+:class:`RelationOperator` is one relation's queries run through the
+family's own ``begin_candidate_pass`` and ``score_candidates_chunk``, so
+each family writes its query-side math exactly once.
 """
 
 from __future__ import annotations
@@ -244,24 +249,17 @@ class ScoringFunction(ABC):
             grads[key] += grad
 
     # ------------------------------------------------------------------
-    # Relation-materialized inference (the serving engine's interface)
+    # Relation-grouped inference (the serving engine's interface)
     # ------------------------------------------------------------------
-    # Serving workloads answer many queries that share a relation.  Scoring
-    # then splits into a query-side *projection* (depends on the query entity
-    # and the relation) and a candidate-side comparison (depends only on the
-    # projection and the candidate embeddings).  A RelationOperator
-    # materializes one relation's parameters for one direction exactly once
-    # — gathered, signed and reshaped into whatever form makes the per-query
-    # work a broadcast plus (for dot-product families) a single GEMM per
-    # batch — and is then reused for every query batch on that relation.
-    # The default below delegates to the chunk-aware candidate pass, so
-    # every scoring function gets a working operator; subclasses override
-    # ``relation_operator`` with fused implementations.
+    # Serving workloads answer many queries that share a relation.  The
+    # engine groups them per (relation, direction) and runs each group
+    # through the candidate pass above, so a served answer is scored by
+    # exactly the kernel that training and evaluation use.
 
     def relation_operator(
         self, params: ParamDict, relation: int, direction: str = TAIL
     ) -> "RelationOperator":
-        """Materialize the scoring operator of one (relation, direction) pair."""
+        """The scoring operator of one (relation, direction) pair."""
         return RelationOperator(self, params, relation, direction)
 
     # ------------------------------------------------------------------
@@ -286,17 +284,15 @@ class RelationOperator:
 
     The two-step protocol mirrors how batched inference uses it:
 
-    * :meth:`project` turns a batch of query-entity indices into the
-      query-side state (for bilinear families: one fused ``(batch,
-      dimension)`` projection matrix);
-    * :meth:`score` compares a projection against the contiguous candidate
-      entities ``start:stop`` (for bilinear families: one GEMM against the
-      entity-table slice).
+    * :meth:`project` runs the family's ``begin_candidate_pass`` over a
+      batch of query entities paired with this relation (for bilinear
+      families: one fused ``(batch, dimension)`` projection matrix);
+    * :meth:`score` runs the family's ``score_candidates_chunk`` against the
+      contiguous candidate entities ``start:stop`` (for bilinear families:
+      one GEMM against the entity-table slice).
 
-    This generic implementation reuses the chunk-aware candidate pass, so it
-    is correct for every scoring function; family-specific subclasses avoid
-    the per-query relation gathers entirely by materializing the relation's
-    parameters once at construction.
+    Every scoring function is served through this one class; there are no
+    per-family operator subclasses to keep in step with the training pass.
     """
 
     def __init__(
@@ -316,10 +312,6 @@ class RelationOperator:
         self.params = params
         self.relation = relation
         self.direction = validate_direction(direction)
-
-    @property
-    def num_entities(self) -> int:
-        return int(self.params["entities"].shape[0])
 
     def _queries(self, entity_indices: np.ndarray) -> np.ndarray:
         entity_indices = np.asarray(entity_indices, dtype=np.int64)

@@ -20,7 +20,6 @@ from repro.kge.scoring.base import (
     HEAD,
     TAIL,
     ParamDict,
-    RelationOperator,
     ScoringFunction,
     check_queries,
     check_triples,
@@ -281,60 +280,6 @@ class BlockScoringFunction(ScoringFunction):
         np.add.at(grads["entities"], queries[:, 0], dquery)
         np.add.at(grads["relations"], queries[:, 1], drelation)
 
-    # ------------------------------------------------------------------
-    # Relation-materialized inference
-    # ------------------------------------------------------------------
-    def relation_operator(
-        self, params: ParamDict, relation: int, direction: str = TAIL
-    ) -> RelationOperator:
-        return BlockRelationOperator(self, params, relation, direction)
-
-
-class BlockRelationOperator(RelationOperator):
-    """All blocks of one relation fused into chunk-level diagonal maps.
-
-    At construction the relation's embedding chunks are gathered once and
-    the block signs folded in, leaving per (query chunk, candidate chunk)
-    pair a ready signed diagonal vector.  Projecting a query batch is then
-    ``num_blocks`` chunk-sized broadcasts with no relation gather at all,
-    and scoring is a single full-dimension GEMM against the entity-table
-    slice — one GEMM per batch instead of one per block.
-    """
-
-    def __init__(
-        self,
-        scoring_function: "BlockScoringFunction",
-        params: ParamDict,
-        relation: int,
-        direction: str,
-    ) -> None:
-        super().__init__(scoring_function, params, relation, direction)
-        scoring_function._check_dimension(params)
-        relation_row = params["relations"][self.relation]
-        self._dimension = int(relation_row.shape[0])
-        chunk = self._dimension // NUM_CHUNKS
-        self._maps = []
-        for query_chunk, candidate_chunk, component, sign in scoring_function._query_chunks(
-            self.direction
-        ):
-            self._maps.append(
-                (
-                    slice(query_chunk * chunk, (query_chunk + 1) * chunk),
-                    slice(candidate_chunk * chunk, (candidate_chunk + 1) * chunk),
-                    sign * relation_row[component * chunk : (component + 1) * chunk],
-                )
-            )
-
-    def project(self, entity_indices: np.ndarray) -> np.ndarray:
-        rows = self.params["entities"][np.asarray(entity_indices, dtype=np.int64)]
-        projection = np.zeros((rows.shape[0], self._dimension), dtype=np.float64)
-        for query_slice, candidate_slice, signed_relation in self._maps:
-            projection[:, candidate_slice] += rows[:, query_slice] * signed_relation
-        return projection
-
-    def score(self, projection: np.ndarray, start: int, stop: int) -> np.ndarray:
-        return projection @ self.params["entities"][start:stop].T
-
 
 # ----------------------------------------------------------------------
 # Classical bilinear models as named block structures
@@ -543,40 +488,3 @@ class RESCAL(ScoringFunction):
             drelation = np.einsum("bi,bj->bij", dtransformed, query_entities)
         np.add.at(grads["entities"], queries[:, 0], dquery)
         np.add.at(grads["relations"], queries[:, 1], drelation)
-
-    # ------------------------------------------------------------------
-    # Relation-materialized inference
-    # ------------------------------------------------------------------
-    def relation_operator(
-        self, params: ParamDict, relation: int, direction: str = TAIL
-    ) -> RelationOperator:
-        return RescalRelationOperator(self, params, relation, direction)
-
-
-class RescalRelationOperator(RelationOperator):
-    """One relation's full ``d x d`` matrix, transposed once for head queries.
-
-    Projection is a single ``(batch, d) @ (d, d)`` GEMM and scoring a GEMM
-    against the entity-table slice, with no per-query ``einsum`` over a
-    gathered ``(batch, d, d)`` relation stack.
-    """
-
-    def __init__(
-        self,
-        scoring_function: "RESCAL",
-        params: ParamDict,
-        relation: int,
-        direction: str,
-    ) -> None:
-        super().__init__(scoring_function, params, relation, direction)
-        matrix = params["relations"][self.relation]
-        # Tail queries transform the head through g(r); head queries see the
-        # transpose (score = h^T g(r) t either way).
-        self._matrix = matrix if self.direction == TAIL else matrix.T
-
-    def project(self, entity_indices: np.ndarray) -> np.ndarray:
-        rows = self.params["entities"][np.asarray(entity_indices, dtype=np.int64)]
-        return rows @ self._matrix
-
-    def score(self, projection: np.ndarray, start: int, stop: int) -> np.ndarray:
-        return projection @ self.params["entities"][start:stop].T

@@ -22,7 +22,6 @@ from repro.kge.scoring.base import (
     HEAD,
     TAIL,
     ParamDict,
-    RelationOperator,
     ScoringFunction,
     check_queries,
     check_triples,
@@ -225,42 +224,3 @@ class MLPScoringFunction(ScoringFunction):
         dimension = params["entities"].shape[1]
         np.add.at(grads["entities"], queries[:, 0], dinputs[:, :dimension])
         np.add.at(grads["relations"], queries[:, 1], dinputs[:, dimension:])
-
-    # ------------------------------------------------------------------
-    # Relation-materialized inference
-    # ------------------------------------------------------------------
-    def relation_operator(
-        self, params: ParamDict, relation: int, direction: str = TAIL
-    ) -> RelationOperator:
-        return MLPRelationOperator(self, params, relation, direction)
-
-
-class MLPRelationOperator(RelationOperator):
-    """The direction's network with the relation embedding bound once.
-
-    Projection broadcasts the (single) relation row next to the query
-    entities and runs one forward pass through the direction's network;
-    scoring is the combined-vector GEMM against the entity-table slice.
-    """
-
-    def __init__(
-        self,
-        scoring_function: "MLPScoringFunction",
-        params: ParamDict,
-        relation: int,
-        direction: str,
-    ) -> None:
-        super().__init__(scoring_function, params, relation, direction)
-        self._relation_row = params["relations"][self.relation]
-        self._prefix = scoring_function._network_for(self.direction)
-
-    def project(self, entity_indices: np.ndarray) -> np.ndarray:
-        rows = self.params["entities"][np.asarray(entity_indices, dtype=np.int64)]
-        inputs = np.concatenate(
-            [rows, np.broadcast_to(self._relation_row, rows.shape)], axis=1
-        )
-        combined, _hidden = self.scoring_function._forward(self.params, self._prefix, inputs)
-        return combined
-
-    def score(self, projection: np.ndarray, start: int, stop: int) -> np.ndarray:
-        return projection @ self.params["entities"][start:stop].T

@@ -26,7 +26,6 @@ from repro.kge.scoring.base import (
     HEAD,
     TAIL,
     ParamDict,
-    RelationOperator,
     ScoringFunction,
     check_queries,
     check_triples,
@@ -182,42 +181,6 @@ class TransE(ScoringFunction):
         relation_sign = 1.0 if direction == TAIL else -1.0
         np.add.at(grads["relations"], queries[:, 1], relation_sign * dquery)
 
-    # ------------------------------------------------------------------
-    # Relation-materialized inference
-    # ------------------------------------------------------------------
-    def relation_operator(
-        self, params: ParamDict, relation: int, direction: str = TAIL
-    ) -> RelationOperator:
-        return TransERelationOperator(self, params, relation, direction)
-
-
-class TransERelationOperator(RelationOperator):
-    """One relation's translation vector, sign-resolved once per direction.
-
-    Projection is a single broadcast add (``h + r`` for tail queries,
-    ``t - r`` for head queries); scoring compares the translated queries
-    against the raw entity-table slice under the model's distance.
-    """
-
-    def __init__(
-        self,
-        scoring_function: "TransE",
-        params: ParamDict,
-        relation: int,
-        direction: str,
-    ) -> None:
-        super().__init__(scoring_function, params, relation, direction)
-        translation = params["relations"][self.relation]
-        self._translation = translation if self.direction == TAIL else -translation
-
-    def project(self, entity_indices: np.ndarray) -> np.ndarray:
-        rows = self.params["entities"][np.asarray(entity_indices, dtype=np.int64)]
-        return rows + self._translation
-
-    def score(self, projection: np.ndarray, start: int, stop: int) -> np.ndarray:
-        diff = projection[:, None, :] - self.params["entities"][None, start:stop, :]
-        return -self.scoring_function._distance(diff)
-
 
 class RotatE(ScoringFunction):
     r"""RotatE (Sun et al., 2019): relations rotate complex entity embeddings.
@@ -359,14 +322,6 @@ class RotatE(ScoringFunction):
         return grads
 
     # ------------------------------------------------------------------
-    # Relation-materialized inference
-    # ------------------------------------------------------------------
-    def relation_operator(
-        self, params: ParamDict, relation: int, direction: str = TAIL
-    ) -> RelationOperator:
-        return RotatERelationOperator(self, params, relation, direction)
-
-    # ------------------------------------------------------------------
     # Chunk-aware scoring: rotate the query once, backpropagate the
     # rotation once per pass, and keep the difference tensor chunk-sized.
     # ------------------------------------------------------------------
@@ -445,41 +400,3 @@ class RotatE(ScoringFunction):
         dquery_entity = np.concatenate([dreal, dimag], axis=-1)
         np.add.at(grads["entities"], query_entity_index, dquery_entity)
         np.add.at(grads["relations"], query_relation_index, dtheta)
-
-
-class RotatERelationOperator(RelationOperator):
-    """One relation's rotation, with the phase trigonometry evaluated once.
-
-    ``cos``/``sin`` of the relation's phases are computed at construction
-    instead of once per query batch; projection applies the (direction-aware)
-    rotation to the query entities and scoring compares against the raw
-    entity-table slice, exploiting that rotations are isometries.
-    """
-
-    def __init__(
-        self,
-        scoring_function: "RotatE",
-        params: ParamDict,
-        relation: int,
-        direction: str,
-    ) -> None:
-        super().__init__(scoring_function, params, relation, direction)
-        theta = params["relations"][self.relation]
-        self._cos = np.cos(theta)
-        self._sin = np.sin(theta)
-
-    def project(self, entity_indices: np.ndarray) -> np.ndarray:
-        rows = self.params["entities"][np.asarray(entity_indices, dtype=np.int64)]
-        real, imag = self.scoring_function._split(rows)
-        cos, sin = self._cos, self._sin
-        if self.direction == TAIL:
-            rotated_real = real * cos - imag * sin
-            rotated_imag = real * sin + imag * cos
-        else:
-            rotated_real = real * cos + imag * sin
-            rotated_imag = -real * sin + imag * cos
-        return np.concatenate([rotated_real, rotated_imag], axis=-1)
-
-    def score(self, projection: np.ndarray, start: int, stop: int) -> np.ndarray:
-        diff = projection[:, None, :] - self.params["entities"][None, start:stop, :]
-        return -np.sum(self.scoring_function._modulus(diff), axis=-1)

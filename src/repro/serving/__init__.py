@@ -7,13 +7,16 @@ AutoSF search — into something deployable, in three layers:
   (manifest + params + vocab), the one on-disk model format, with
   descriptive validation errors;
 * :mod:`repro.serving.engine` — the batched :class:`InferenceEngine`:
-  heterogeneous head/tail queries grouped per relation through materialized
-  :class:`~repro.kge.scoring.base.RelationOperator` s, ``argpartition``
-  top-k, optional known-positive filtering, and LRU caching — with the naive
-  ``KGEModel.predict_*`` path kept as the exact parity oracle;
+  heterogeneous head/tail queries grouped per relation and scored by each
+  family's own candidate pass (one
+  :class:`~repro.kge.scoring.base.RelationOperator` class for every
+  family), ``argpartition`` top-k, optional known-positive filtering, and
+  LRU caching — with the naive ``KGEModel.predict_*`` path kept as the
+  exact parity oracle;
 * :mod:`repro.serving.service` — ``QueryRequest``/``QueryResponse``, TSV
-  batch mode, and a dependency-free ``http.server`` JSON endpoint with
-  latency/throughput counters and graceful SIGTERM/SIGINT drain;
+  batch mode, the :class:`EngineReloader` recipe every served model is
+  built from, and a dependency-free ``http.server`` JSON endpoint with
+  latency/throughput counters, hot swap and graceful SIGTERM/SIGINT drain;
 * :mod:`repro.serving.fleet` — a pre-forked N-worker server sharing the
   memmap'd artifact (and a precomputed known-positive index) through the
   OS page cache, one inherited listener load-balancing across workers.
@@ -46,11 +49,9 @@ from repro.serving.service import (
     QueryResponse,
     QueryServer,
     answer_queries,
-    create_server,
     format_response_rows,
     parse_query_line,
     read_query_file,
-    serve_forever,
 )
 
 __all__ = [
@@ -74,9 +75,7 @@ __all__ = [
     "answer_queries",
     "validate_serve_options",
     "wait_until_healthy",
-    "create_server",
     "format_response_rows",
     "parse_query_line",
     "read_query_file",
-    "serve_forever",
 ]

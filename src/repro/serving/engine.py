@@ -7,11 +7,12 @@ the full entity set.  :class:`InferenceEngine` serves the same queries in
 bulk:
 
 * heterogeneous head/tail queries are **grouped by (relation, direction)**
-  and each group answered through the relation's materialized
-  :class:`~repro.kge.scoring.base.RelationOperator` — the relation's
-  parameters are gathered, signed and reshaped exactly once, and for
-  bilinear families scoring collapses to a single GEMM per micro-batch
-  instead of one small GEMM per block per query;
+  and each group answered through the relation's
+  :class:`~repro.kge.scoring.base.RelationOperator` — the family's own
+  training candidate pass (``begin_candidate_pass`` /
+  ``score_candidates_chunk``) run once per group, so for bilinear families
+  scoring collapses to a single GEMM per micro-batch instead of one small
+  GEMM per block per query;
 * queries run in **micro-batches** (``batch_size`` queries against the full
   entity table), bounding peak memory at ``batch_size x num_entities``
   scores;
@@ -22,24 +23,25 @@ bulk:
   :class:`~repro.datasets.knowledge_graph.FilterIndex` that filtered
   evaluation uses, so served predictions are unseen triples;
 * finished (entity, relation) answers live in a bounded **LRU cache**, and
-  materialized operators live in a :class:`HotRelationCache` — size-bounded
+  relation operators live in a :class:`HotRelationCache` — size-bounded
   with *frequency-gated admission*: a relation's operator is only cached
   once the relation has proven hot, so one-off scans cannot evict the head
   of a skewed (Zipfian) relation distribution;
 * concurrent callers (the serving fleet's handler threads) can go through a
   :class:`MicroBatcher`, which coalesces query batches arriving within a
-  small window into one ``query_batch`` call — amortizing operator
-  materialization and slab-vectorized top-k across requests exactly like
-  the train engine amortizes per-batch work.
+  small window into one ``query_batch`` call — amortizing per-relation
+  passes and slab-vectorized top-k across requests exactly like the train
+  engine amortizes per-batch work.
 
 The engine never writes to its parameter arrays, so it is safe over the
 read-only memmap views a multi-worker fleet shares
 (``load_artifact(mmap=True)``); all mutable state (caches, counters) is
 process-local and lock-protected.
 
-The engine's results are *exactly* those of the naive path — same entities,
-same order, same tie-breaking — which the parity tests pin per scoring
-family, mirroring the reference-oracle pattern of the execution and
+The engine's scores are bit-identical to the candidate pass run per
+relation, and its rankings are *exactly* those of the naive path — same
+entities, same order, same tie-breaking — which the parity tests pin per
+scoring family, mirroring the reference-oracle pattern of the execution and
 training engines.
 """
 
@@ -240,7 +242,7 @@ class HotRelationCache:
 
 
 class InferenceEngine:
-    """Batched, relation-materialized link-prediction inference.
+    """Batched, relation-grouped link-prediction inference.
 
     Parameters
     ----------
@@ -265,7 +267,7 @@ class InferenceEngine:
         finished (direction, entity, relation, top_k, filtered) answers.
     operator_admission_threshold:
         How many times a (relation, direction) pair must be requested before
-        its materialized operator is admitted to the cache (see
+        its operator is admitted to the cache (see
         :class:`HotRelationCache`); ``1`` recovers the old always-admit LRU.
     recorder:
         Optional :class:`TimingRecorder`; the engine attributes time to the
@@ -471,7 +473,7 @@ class InferenceEngine:
 
         # Order the unique queries by (direction, relation) group, then
         # process them in slabs of ``batch_size`` rows: scoring still runs
-        # per group segment (one materialized operator each), but top-k
+        # per group segment (one relation operator each), but top-k
         # selection sees a whole slab at once — essential when a batch
         # spreads thinly over many relations.  Peak memory stays at
         # batch_size x num_entities scores.
@@ -589,7 +591,7 @@ class MicroBatcher:
     Concurrent callers (one HTTP handler thread per in-flight request)
     submit through :meth:`query_batch`; calls arriving within ``window_s``
     of each other are coalesced into one engine call, where the engine's
-    per-(relation, direction) grouping amortizes operator materialization
+    per-(relation, direction) grouping amortizes per-relation passes
     and slab top-k across all of them.  The first caller of a round becomes
     the *leader*: it sleeps out the window, flushes every pending call, and
     distributes the answers; followers just wait on their event.

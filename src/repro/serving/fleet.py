@@ -1,32 +1,33 @@
 """Pre-forked multi-worker serving fleet over a memmap-shared artifact.
 
-The single-process :func:`~repro.serving.service.serve_forever` keeps the
-full embedding arrays private to one Python process; scaling it by running
-N copies multiplies the resident memory N times.  The fleet instead follows
+A single :class:`~repro.serving.service.QueryServer` keeps the full
+embedding arrays private to one Python process; scaling it by running N
+copies multiplies the resident memory N times.  The fleet instead follows
 the shared-store/worker split of DGL's ``contrib/graph_store.py``:
 
-* the **parent** validates the artifact, precomputes the known-positive
-  filter index once (saved beside the artifact as raw ``.npy`` files), binds
-  the listener socket, and forks N workers;
-* each **worker** re-opens the artifact with ``mmap=True`` *after* the fork,
-  so its embedding pages are file-backed and shared through the OS page
-  cache rather than copy-on-write duplicates of the parent heap.  Workers
-  adopt the inherited listener (one kernel accept queue load-balances
-  connections across the fleet), wrap their engine in a
-  :class:`~repro.serving.engine.MicroBatcher`, and report per-worker
+* the **parent** validates the artifact, binds the listener socket, and
+  forks N workers; a known-positive index, when served, was saved beside
+  the artifact beforehand (:func:`prepare_filter_index`);
+* each **worker** runs the same :class:`~repro.serving.service.EngineReloader`
+  recipe as a single server, with ``mmap=True`` and *after* the fork, so its
+  embedding and filter-index pages are file-backed and shared through the
+  OS page cache rather than copy-on-write duplicates of the parent heap.
+  Workers adopt the inherited listener (one kernel accept queue
+  load-balances connections across the fleet), serve through
+  :meth:`~repro.serving.service.QueryServer.run`, and report per-worker
   ``/stats`` including resident/shared/private memory;
 * SIGTERM/SIGINT to the parent is forwarded to every worker, each of which
   stops accepting, drains in-flight requests, and exits; the parent reaps
   them and closes the listener.
 * SIGHUP to the parent (or :meth:`ServingFleet.signal_reload`) is forwarded
   too: each worker rebuilds its engine stack from the artifact directory
-  off-thread via its :class:`~repro.serving.service.EngineReloader` and
+  off-thread through the same recipe and
   atomically swaps it in — a fleet-wide artifact hot-swap with zero dropped
   requests (publish the new generation at the same path, e.g. by flipping a
   symlink, then send SIGHUP).
 
-``repro-autosf serve --workers N`` is the CLI entry point; the
-single-process in-memory engine remains the exact parity oracle (the
+``repro-autosf serve --workers N`` is the CLI entry point; an in-memory
+engine built on the same artifact remains the exact parity oracle (the
 serving load benchmark asserts bit-identical answers).
 """
 
@@ -37,8 +38,9 @@ import signal
 import socket
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serving.artifact import ModelArtifact, load_artifact
@@ -47,7 +49,7 @@ from repro.serving.engine import (
     FilterIndex,
     save_filter_index,
 )
-from repro.serving.service import EngineReloader, create_server
+from repro.serving.service import EngineReloader, QueryServer
 from repro.utils.config import ConfigError
 
 PathLike = Union[str, Path]
@@ -88,45 +90,34 @@ def prepare_filter_index(index: FilterIndex, artifact_dir: PathLike) -> Path:
 
 
 class ServingFleet:
-    """Parent-side controller: bind once, fork N workers, drain on SIGTERM."""
+    """Parent-side controller: bind once, fork N workers, drain on SIGTERM.
+
+    ``reloader`` is the recipe every worker builds its engine stack from;
+    the fleet only overrides where it loads (``mmap=True``) and which
+    metrics registry it reports to (each worker's own).
+    """
 
     def __init__(
         self,
-        artifact_dir: PathLike,
+        reloader: EngineReloader,
         host: str = "127.0.0.1",
         port: int = 8080,
         workers: int = 1,
-        batch_size: int = 256,
-        entity_chunk_size: int = 0,
-        micro_batch_window_ms: float = 2.0,
-        operator_cache_size: int = 256,
-        result_cache_size: int = 4096,
-        filter_index: Optional[FilterIndex] = None,
         quiet: bool = True,
     ) -> None:
-        validate_serve_options(port, workers, micro_batch_window_ms)
+        validate_serve_options(port, workers, reloader.micro_batch_window_s * 1000.0)
         if not hasattr(os, "fork"):  # pragma: no cover - Windows guard
             raise ConfigError("--workers needs os.fork(); this platform has none")
-        self.artifact_dir = Path(artifact_dir)
+        self.reloader = reloader
         self.host = host
         self.port = int(port)
         self.workers = int(workers)
-        self.batch_size = int(batch_size)
-        self.entity_chunk_size = int(entity_chunk_size)
-        self.micro_batch_window_ms = float(micro_batch_window_ms)
-        self.operator_cache_size = int(operator_cache_size)
-        self.result_cache_size = int(result_cache_size)
         self.quiet = quiet
         self.listener: Optional[socket.socket] = None
         self.worker_pids: List[int] = []
-        self._filter_index_path: Optional[Path] = None
         # Parent-side validation: a broken artifact should fail here, once,
         # not in N children after the fork.
-        self.artifact: ModelArtifact = load_artifact(self.artifact_dir, mmap=True)
-        if filter_index is not None:
-            self._filter_index_path = prepare_filter_index(filter_index, self.artifact_dir)
-        elif (self.artifact_dir / FILTER_INDEX_DIRNAME).is_dir():
-            self._filter_index_path = self.artifact_dir / FILTER_INDEX_DIRNAME
+        self.artifact: ModelArtifact = load_artifact(reloader.artifact_dir, mmap=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -135,9 +126,14 @@ class ServingFleet:
         """Bind the listener and fork the workers; returns the bound port."""
         if self.listener is not None:
             raise RuntimeError("fleet already started")
-        self.listener = socket.create_server(
-            (self.host, self.port), backlog=max(128, self.workers * 32), reuse_port=False
-        )
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.listener.bind((self.host, self.port))
+        self.listener.listen(max(128, self.workers * 32))
+        # Every idle worker wakes on a new connection; the ones that lose
+        # the accept race must get EAGAIN and return to their poll loop.  A
+        # worker parked in a blocking accept() never notices its SIGTERM.
+        self.listener.setblocking(False)
         self.port = self.listener.getsockname()[1]
         for worker_id in range(self.workers):
             pid = os.fork()
@@ -163,38 +159,18 @@ class ServingFleet:
         # per-worker counters and latency histograms.
         registry = MetricsRegistry()
         set_registry(registry)
-        # Re-open the artifact *after* the fork: np.load(mmap_mode="r") pages
+        # The recipe loads *after* the fork: np.load(mmap_mode="r") pages
         # are file-backed and shared across the fleet via the page cache,
         # whereas the parent's arrays would be duplicated copy-on-write.
-        # The same reloader recipe rebuilds the stack on SIGHUP hot-swaps,
-        # so a reloaded engine is configured identically to a fresh worker.
-        reloader = EngineReloader(
-            artifact_dir=self.artifact_dir,
-            mmap=True,
-            batch_size=self.batch_size,
-            entity_chunk_size=self.entity_chunk_size,
-            operator_cache_size=self.operator_cache_size,
-            result_cache_size=self.result_cache_size,
-            micro_batch_window_s=self.micro_batch_window_ms / 1000.0,
-            registry=registry,
-        )
-        artifact, engine, batcher = reloader.build()
-        server = create_server(
-            engine,
-            artifact,
-            quiet=self.quiet,
+        reloader = replace(self.reloader, mmap=True, registry=registry)
+        QueryServer(
+            (self.host, self.port),
+            reloader,
             listen_socket=self.listener,
-            batcher=batcher,
             worker_id=worker_id,
             registry=registry,
-            reloader=reloader,
-        )
-        server.install_signal_handlers()
-        server.install_reload_handler()
-        try:
-            server.serve_forever()
-        finally:
-            server.server_close()
+            quiet=self.quiet,
+        ).run()
 
     def terminate(self, signum: int = signal.SIGTERM) -> None:
         """Forward a shutdown signal to every live worker."""
@@ -207,10 +183,11 @@ class ServingFleet:
     def signal_reload(self) -> None:
         """Ask every worker to hot-swap to the artifact now on disk.
 
-        Publish the new generation at ``artifact_dir`` first (atomic
-        symlink flip or in-place rewrite), then call this; each worker
-        rebuilds off-thread and swaps atomically, so queries keep being
-        answered — by the old generation until the instant of its swap.
+        Publish the new generation at the recipe's ``artifact_dir`` first
+        (atomic symlink flip or in-place rewrite), then call this; each
+        worker rebuilds off-thread and swaps atomically, so queries keep
+        being answered — by the old generation until the instant of its
+        swap.
         """
         self.terminate(signal.SIGHUP)
 

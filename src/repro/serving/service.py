@@ -11,19 +11,20 @@ Three consumption styles over the same :class:`InferenceEngine`:
 * **HTTP** — ``repro-autosf serve`` runs a dependency-free
   ``http.server``-based JSON endpoint: ``POST /query`` answers a single
   query or a ``{"queries": [...]}`` batch, ``POST /reload`` hot-swaps the
-  served artifact generation (servers built with an
-  :class:`EngineReloader`), ``GET /stats`` reports the
-  engine's latency/throughput counters (via ``TimingRecorder``),
-  ``GET /healthz`` describes the loaded artifact, and ``GET /metrics``
-  exposes the worker's metrics registry in the Prometheus text format.
+  served artifact generation, ``GET /stats`` reports the engine's
+  latency/throughput counters (via ``TimingRecorder``), ``GET /healthz``
+  describes the loaded artifact, and ``GET /metrics`` exposes the worker's
+  metrics registry in the Prometheus text format.
 
-A :class:`QueryServer` can adopt an already-bound listener socket instead
-of binding its own — that is how the pre-forked fleet in
-:mod:`repro.serving.fleet` shares one accept queue across N workers — and
-it shuts down gracefully on SIGTERM/SIGINT: the listener closes first, then
-in-flight handler threads are drained before the process exits.  When built
-with a :class:`~repro.serving.engine.MicroBatcher`, handler threads submit
-through it so concurrent HTTP requests coalesce into shared engine calls.
+An :class:`EngineReloader` is the one recipe for a served model: a
+:class:`QueryServer` mounts the (artifact, engine, micro-batcher) stack it
+builds at start-up and again on every hot swap, whether the server runs
+alone (``serve --workers 1``) or as one worker of the pre-forked fleet in
+:mod:`repro.serving.fleet`.  A fleet worker adopts the parent's listener
+socket instead of binding its own, so N workers share one accept queue.
+:meth:`QueryServer.run` is the one blocking loop for both; it shuts down
+gracefully on SIGTERM/SIGINT: the listener closes first, then in-flight
+handler threads are drained before the process exits.
 """
 
 from __future__ import annotations
@@ -294,15 +295,17 @@ def process_memory_info() -> Dict[str, int]:
 
 @dataclass
 class EngineReloader:
-    """Recipe for (re)building an engine stack from an artifact directory.
+    """The recipe that builds a served engine stack from an artifact directory.
 
-    A server built with a reloader can hot-swap generations: ``build()``
-    loads the artifact, its saved filter index (``<dir>/filter_index``,
-    when present) and a fresh :class:`InferenceEngine` + optional
-    :class:`MicroBatcher`, entirely off to the side of the serving one.
-    The swap itself is :meth:`QueryServer.reload` — a single pointer
-    flip, so in-flight queries finish on the old generation and nothing
-    is ever answered by a half-built engine.
+    ``build()`` loads the artifact, its saved known-positive index
+    (``<dir>/filter_index``, when present) and a fresh
+    :class:`InferenceEngine` plus, with a positive window, a
+    :class:`MicroBatcher`.  A :class:`QueryServer` mounts the first stack
+    at start-up and builds every later one off to the side of the serving
+    stack; the swap itself is :meth:`QueryServer.reload` — a single
+    pointer flip, so in-flight queries finish on the old generation and
+    nothing is ever answered by a half-built engine.  A single server loads
+    in memory (``mmap=False``); fleet workers load with ``mmap=True``.
     """
 
     artifact_dir: PathLike
@@ -317,10 +320,12 @@ class EngineReloader:
     def build(
         self, artifact_dir: Optional[PathLike] = None
     ) -> Tuple[ModelArtifact, InferenceEngine, Optional[MicroBatcher]]:
-        """Construct a full engine stack; records ``artifact_dir`` for next time."""
-        if artifact_dir is not None:
-            self.artifact_dir = artifact_dir
-        target = Path(self.artifact_dir)
+        """Build a stack from ``artifact_dir`` (default: the last one built).
+
+        Only a successful build replaces the remembered directory, so a
+        failed ``/reload`` does not break the next SIGHUP.
+        """
+        target = Path(artifact_dir if artifact_dir is not None else self.artifact_dir)
         artifact = load_artifact(target, mmap=self.mmap)
         index_dir = target / FILTER_INDEX_DIRNAME
         filter_index = (
@@ -340,18 +345,20 @@ class EngineReloader:
             if self.micro_batch_window_s > 0
             else None
         )
+        self.artifact_dir = target
         return artifact, engine, batcher
 
 
 class QueryServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one engine + artifact.
+    """A threading HTTP server that mounts the engine stack of a recipe.
 
-    Pass ``listen_socket`` to adopt an already-bound, already-listening
-    socket instead of binding ``address`` — the pre-fork fleet binds once in
-    the parent and every worker adopts the inherited listener, sharing one
-    kernel accept queue.  ``install_signal_handlers()`` arranges a graceful
-    SIGTERM/SIGINT drain: stop accepting, finish in-flight requests
-    (``block_on_close`` joins handler threads), then close the listener.
+    The server builds ``reloader.build()`` before it binds, and rebuilds
+    through the same recipe on ``POST /reload`` and SIGHUP.  Pass
+    ``listen_socket`` to adopt an already-bound, already-listening socket
+    instead of binding ``address`` — the pre-fork fleet binds once in the
+    parent and every worker adopts the inherited listener, sharing one
+    kernel accept queue.  A ``/reload`` body may only name a sibling of the
+    artifact the server started with (same resolved parent directory).
     """
 
     daemon_threads = True
@@ -361,15 +368,18 @@ class QueryServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        engine: InferenceEngine,
-        artifact: Optional[ModelArtifact] = None,
-        quiet: bool = True,
+        reloader: EngineReloader,
+        *,
         listen_socket: Optional[socket.socket] = None,
-        batcher: Optional[MicroBatcher] = None,
         worker_id: int = 0,
         registry: Optional[AnyRegistry] = None,
-        reloader: Optional[EngineReloader] = None,
+        quiet: bool = True,
     ) -> None:
+        # Generations are published side by side; /reload accepts no
+        # directory outside the one the first generation lives in.
+        self.reload_root = Path(reloader.artifact_dir).resolve().parent
+        # Build before binding: a broken artifact fails without a socket.
+        artifact, engine, batcher = reloader.build()
         if listen_socket is not None:
             # Adopt the inherited listener: skip bind/listen entirely.
             super().__init__(address, QueryHandler, bind_and_activate=False)
@@ -383,7 +393,7 @@ class QueryServer(ThreadingHTTPServer):
         # The engine stack is one tuple so a hot swap is a single pointer
         # flip: handler threads that already grabbed the old tuple finish
         # their request on the old generation, never on a mixed stack.
-        self._mount: Tuple[InferenceEngine, Optional[ModelArtifact], Optional[MicroBatcher]] = (
+        self._mount: Tuple[InferenceEngine, ModelArtifact, Optional[MicroBatcher]] = (
             engine,
             artifact,
             batcher,
@@ -439,15 +449,14 @@ class QueryServer(ThreadingHTTPServer):
             help="Artifact generation currently being served.",
             labels=worker_labels,
         )
-        if artifact is not None:
-            self._m_generation.set(artifact.generation)
+        self._m_generation.set(artifact.generation)
 
     @property
     def engine(self) -> InferenceEngine:
         return self._mount[0]
 
     @property
-    def artifact(self) -> Optional[ModelArtifact]:
+    def artifact(self) -> ModelArtifact:
         return self._mount[1]
 
     @property
@@ -473,11 +482,6 @@ class QueryServer(ThreadingHTTPServer):
         engine.  On any load/validation error the old stack stays mounted
         and the error propagates to the caller.
         """
-        if self.reloader is None:
-            raise RuntimeError(
-                "this server was built without an EngineReloader; "
-                "pass reloader= to create_server() to enable /reload"
-            )
         with self._reload_lock:
             started = time.perf_counter()
             with span("live.reload") as handle:
@@ -501,38 +505,45 @@ class QueryServer(ThreadingHTTPServer):
             if not self.quiet:  # pragma: no cover - console logging only
                 print(f"[serve] reload failed, keeping old generation: {error}")
 
-    def install_reload_handler(self, signum: int = signal.SIGHUP) -> None:
-        """Route ``signum`` (default SIGHUP) into an off-thread :meth:`reload`.
-
-        The fleet parent sends SIGHUP to every worker after publishing a
-        new generation; the handler thread rebuilds while the main thread
-        keeps accepting queries against the old mount.
-        """
-        signal.signal(
-            signum,
-            lambda *_args: threading.Thread(
-                target=self._reload_from_signal, name="query-server-reload", daemon=True
-            ).start(),
-        )
-
     def request_shutdown(self) -> None:
         """Trigger a graceful stop from any thread or signal handler.
 
-        Idempotent.  ``shutdown()`` blocks until ``serve_forever`` exits, so
+        Idempotent.  ``shutdown()`` blocks until the serving loop exits, so
         it must not run inline in a signal handler (which executes on the
-        very thread running ``serve_forever``) — hand it to a helper thread.
+        very thread running that loop) — hand it to a helper thread.
         """
         if self._shutdown_requested.is_set():
             return
         self._shutdown_requested.set()
         threading.Thread(target=self.shutdown, name="query-server-shutdown", daemon=True).start()
 
-    def install_signal_handlers(
-        self, signals: Sequence[int] = (signal.SIGTERM, signal.SIGINT)
-    ) -> None:
-        """Route SIGTERM/SIGINT into :meth:`request_shutdown` (main thread only)."""
-        for signum in signals:
-            signal.signal(signum, lambda *_args: self.request_shutdown())
+    def run(self) -> None:
+        """Serve until shut down, then drain in-flight requests and close.
+
+        The one blocking loop behind ``serve`` at every worker count: the
+        single in-process server and each forked fleet worker.  On the main
+        thread it also routes SIGTERM/SIGINT into :meth:`request_shutdown`
+        and SIGHUP into an off-thread :meth:`reload` (the fleet parent
+        forwards SIGHUP after publishing a new generation, and the main
+        thread keeps answering on the old mount meanwhile).  Python only
+        allows signal handlers on the main thread; a server run on another
+        thread is stopped with :meth:`request_shutdown`.
+        """
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                signal.signal(signum, lambda *_args: self.request_shutdown())
+            signal.signal(
+                signal.SIGHUP,
+                lambda *_args: threading.Thread(
+                    target=self._reload_from_signal, name="query-server-reload", daemon=True
+                ).start(),
+            )
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.server_close()
 
     def count_request(self, error: bool = False) -> None:
         with self.counter_lock:
@@ -602,12 +613,9 @@ class QueryHandler(BaseHTTPRequestHandler):
     # -- GET --------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server naming contract
         if self.path == "/healthz":
-            payload: Dict[str, object] = {"status": "ok"}
-            if self.server.artifact is not None:
-                payload["artifact"] = self.server.artifact.describe()
-            else:
-                payload["scoring_function"] = self.server.engine.scoring_function.name
-            self._send_json(200, payload)
+            self._send_json(
+                200, {"status": "ok", "artifact": self.server.artifact.describe()}
+            )
         elif self.path == "/stats":
             # One mount snapshot for the whole response, so a concurrent
             # reload cannot mix old-engine stats with a new artifact.
@@ -617,12 +625,11 @@ class QueryHandler(BaseHTTPRequestHandler):
             stats["http_requests"] = self.server.requests_served
             stats["http_errors"] = self.server.errors
             stats["reloads"] = self.server.reloads
-            if artifact is not None:
-                stats["artifact"] = {
-                    "generation": artifact.generation,
-                    "schema_version": artifact.schema_version,
-                    "scoring_function": artifact.scoring_function.name,
-                }
+            stats["artifact"] = {
+                "generation": artifact.generation,
+                "schema_version": artifact.schema_version,
+                "scoring_function": artifact.scoring_function.name,
+            }
             stats["worker"] = {
                 "worker_id": self.server.worker_id,
                 "pid": os.getpid(),
@@ -658,13 +665,19 @@ class QueryHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, f"invalid JSON body: {error}")
             return
         artifact_dir = payload.get("artifact")
-        if self.server.reloader is None:
-            self._send_error_json(
-                400,
-                "this server was built without an EngineReloader; "
-                "pass reloader= to create_server() to enable /reload",
-            )
-            return
+        if artifact_dir is not None:
+            try:
+                target_root = Path(artifact_dir).resolve().parent
+            except (TypeError, ValueError, OSError, RuntimeError) as error:
+                self._send_error_json(400, f"invalid artifact path {artifact_dir!r}: {error}")
+                return
+            if target_root != self.server.reload_root:
+                self._send_error_json(
+                    403,
+                    f"reload target {artifact_dir!r} is outside {self.server.reload_root}; "
+                    f"publish generations beside the served artifact",
+                )
+                return
         try:
             artifact = self.server.reload(artifact_dir)
         except Exception as error:  # noqa: BLE001 - old generation stays mounted
@@ -722,55 +735,3 @@ class QueryHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"responses": [response.to_dict() for response in responses]})
         else:
             self._send_json(200, responses[0].to_dict())
-
-
-def create_server(
-    engine: InferenceEngine,
-    artifact: Optional[ModelArtifact] = None,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    quiet: bool = True,
-    listen_socket: Optional[socket.socket] = None,
-    batcher: Optional[MicroBatcher] = None,
-    worker_id: int = 0,
-    registry: Optional[AnyRegistry] = None,
-    reloader: Optional[EngineReloader] = None,
-) -> QueryServer:
-    """Bind a :class:`QueryServer` (port 0 picks a free port, handy in tests)."""
-    return QueryServer(
-        (host, port),
-        engine,
-        artifact,
-        quiet=quiet,
-        listen_socket=listen_socket,
-        batcher=batcher,
-        worker_id=worker_id,
-        registry=registry,
-        reloader=reloader,
-    )
-
-
-def serve_forever(
-    engine: InferenceEngine,
-    artifact: Optional[ModelArtifact] = None,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    micro_batch_window_s: float = 0.0,
-    registry: Optional[AnyRegistry] = None,
-    reloader: Optional[EngineReloader] = None,
-) -> None:  # pragma: no cover - blocking loop, exercised manually via the CLI
-    """Run the single-process query service until SIGTERM/SIGINT, then drain."""
-    batcher = MicroBatcher(engine, window_s=micro_batch_window_s) if micro_batch_window_s > 0 else None
-    server = create_server(
-        engine, artifact, host, port, quiet=False, batcher=batcher, registry=registry,
-        reloader=reloader,
-    )
-    server.install_signal_handlers()
-    if reloader is not None:
-        server.install_reload_handler()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()

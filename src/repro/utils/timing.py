@@ -12,7 +12,6 @@ registry and null tracer those extra sinks are no-op method calls.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -56,11 +55,25 @@ class Stopwatch:
         self._running = False
 
 
+class _Phase:
+    """Running statistics of one phase: sample count, total and last sample."""
+
+    __slots__ = ("count", "total", "last")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.last = 0.0
+
+
 class TimingRecorder:
-    """Accumulates named timing samples.
+    """Accumulates named timing samples as running per-phase statistics.
 
     The greedy search uses one recorder to attribute time to the filter,
-    predictor, training and evaluation phases, mirroring Table VII.
+    predictor, training and evaluation phases, mirroring Table VII.  Each
+    phase keeps only ``(count, total, last)``, so a recorder that lives as
+    long as a serving process stays constant-size however many samples it
+    sees; the distribution goes to the phase histogram instead.
 
     Parameters
     ----------
@@ -72,7 +85,7 @@ class TimingRecorder:
     """
 
     def __init__(self, registry: Optional["_metrics.AnyRegistry"] = None) -> None:
-        self._samples: Dict[str, List[float]] = defaultdict(list)
+        self._phases: Dict[str, _Phase] = {}
         self.registry = registry if registry is not None else _metrics.get_registry()
         self._histograms: Dict[str, object] = {}
 
@@ -87,6 +100,14 @@ class TimingRecorder:
             self._histograms[name] = histogram
         histogram.observe(seconds)
 
+    def _accumulate(self, name: str, count: int, total: float, last: float) -> None:
+        phase = self._phases.get(name)
+        if phase is None:
+            phase = self._phases[name] = _Phase()
+        phase.count += count
+        phase.total += total
+        phase.last = last
+
     @contextmanager
     def measure(self, name: str) -> Iterator[None]:
         # time.monotonic is CLOCK_MONOTONIC (same clock the tracer uses),
@@ -96,28 +117,26 @@ class TimingRecorder:
             yield
         finally:
             elapsed = time.monotonic() - start
-            self._samples[name].append(elapsed)
+            self._accumulate(name, 1, elapsed, elapsed)
             self._observe(name, elapsed)
             _trace.get_tracer().record(name, start, elapsed)
 
     def add(self, name: str, seconds: float) -> None:
-        self._samples[name].append(float(seconds))
-        self._observe(name, float(seconds))
+        seconds = float(seconds)
+        self._accumulate(name, 1, seconds, seconds)
+        self._observe(name, seconds)
 
     def merge(self, other: "TimingRecorder") -> None:
-        """Fold another recorder's samples into this one (phase-wise).
+        """Fold another recorder's phases into this one (phase-wise).
 
         Used to combine per-process phase timings — e.g. recorders
         rebuilt from worker outcomes — into one Table VII attribution.
-        Samples are re-observed into this recorder's registry.
+        Counts and totals add up and ``other``'s last sample becomes the
+        last one here; ``other`` already observed its samples into its
+        own registry, so nothing is re-observed.
         """
-        for name in other.names():
-            for sample in other.samples(name):
-                self.add(name, sample)
-
-    def samples(self, name: str) -> List[float]:
-        """The raw samples recorded under ``name`` (copy)."""
-        return list(self._samples.get(name, []))
+        for name, phase in other._phases.items():
+            self._accumulate(name, phase.count, phase.total, phase.last)
 
     def last(self, name: str) -> float:
         """The most recent sample recorded under ``name``.
@@ -125,25 +144,25 @@ class TimingRecorder:
         Raises ``KeyError`` when no sample has been recorded yet, so callers
         never silently read a phantom 0.0 measurement.
         """
-        samples = self._samples.get(name)
-        if not samples:
+        phase = self._phases.get(name)
+        if phase is None:
             raise KeyError(f"no timing samples recorded for {name!r}")
-        return float(samples[-1])
+        return phase.last
 
     def total(self, name: str) -> float:
-        return float(sum(self._samples.get(name, [])))
+        phase = self._phases.get(name)
+        return phase.total if phase is not None else 0.0
 
     def mean(self, name: str) -> float:
-        samples = self._samples.get(name, [])
-        if not samples:
-            return 0.0
-        return float(sum(samples) / len(samples))
+        phase = self._phases.get(name)
+        return phase.total / phase.count if phase is not None else 0.0
 
     def count(self, name: str) -> int:
-        return len(self._samples.get(name, []))
+        phase = self._phases.get(name)
+        return phase.count if phase is not None else 0
 
     def names(self) -> List[str]:
-        return sorted(self._samples)
+        return sorted(self._phases)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Return ``{name: {total, mean, count}}`` for every recorded phase."""

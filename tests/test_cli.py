@@ -1,5 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from http.client import HTTPConnection
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -400,3 +409,86 @@ class TestServingCommands:
                     "--benchmark", "wn18rr",
                 ]
             )
+
+
+class TestServeCommand:
+    """``serve`` as a process: the one recipe behind every worker count."""
+
+    @staticmethod
+    def _http(port, method, path, payload=None):
+        connection = HTTPConnection("127.0.0.1", port, timeout=10.0)
+        try:
+            body = json.dumps(payload).encode("utf-8") if payload is not None else None
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_single_worker_filter_survives_reload(self, tiny_graph, tmp_path):
+        from repro.kge import train_model
+        from repro.serving import (
+            FILTER_INDEX_DIRNAME,
+            InferenceEngine,
+            export_artifact,
+            known_positive_index,
+        )
+
+        config = TrainingConfig(dimension=8, epochs=1, batch_size=64, seed=0)
+        artifact = export_artifact(
+            train_model(tiny_graph, "complex", config), tmp_path / "gen-00000"
+        )
+        store = tiny_graph.to_store(tmp_path / "store").directory
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--artifact", str(artifact),
+             "--filter", "--store", str(store), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+            found = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+            assert found, banner + server.stdout.read()
+            port = int(found.group(1))
+            # The index is saved beside the artifact, where a reload finds it.
+            assert (artifact / FILTER_INDEX_DIRNAME).is_dir()
+
+            queries = [("tail", 0, 0), ("head", 5, 1), ("tail", 7, 2)]
+            payload = {"queries": [
+                {"direction": d, "entity": e, "relation": r, "top_k": 5, "filtered": True}
+                for d, e, r in queries
+            ]}
+            oracle = InferenceEngine.from_artifact(
+                load_artifact(artifact), filter_index=known_positive_index(tiny_graph)
+            )
+            expected = [
+                [[entity, score] for entity, score in answer]
+                for answer in oracle.query_batch(queries, top_k=5, filtered=True)
+            ]
+            for reload_first in (False, True):
+                if reload_first:
+                    status, reloaded = self._http(
+                        port, "POST", "/reload", {"artifact": str(artifact)}
+                    )
+                    assert status == 200, reloaded
+                status, answered = self._http(port, "POST", "/query", payload)
+                assert status == 200, answered
+                got = [
+                    [[p["entity"], p["score"]] for p in response["predictions"]]
+                    for response in answered["responses"]
+                ]
+                assert got == expected
+            status, stats = self._http(port, "GET", "/stats")
+            assert stats["reloads"] == 1
+        finally:
+            server.send_signal(signal.SIGTERM)
+            try:
+                server.wait(timeout=20.0)
+            finally:
+                if server.poll() is None:
+                    server.kill()
+                    server.wait()
+                server.stdout.close()
+        assert server.returncode == 0

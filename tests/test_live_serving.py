@@ -25,8 +25,8 @@ from repro.serving import (
     EngineReloader,
     FILTER_INDEX_DIRNAME,
     InferenceEngine,
+    QueryServer,
     ServingFleet,
-    create_server,
     export_artifact,
     known_positive_index,
     load_artifact,
@@ -54,6 +54,14 @@ def http_json(port, method, path, payload=None):
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def running_server(reloader):
+    """A QueryServer on a free local port, running on a helper thread."""
+    server = QueryServer((HOST, 0), reloader)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    return server, thread
 
 
 def http_text(port, path):
@@ -181,14 +189,10 @@ class TestSingleServerReload:
         self, generations, sample_queries
     ):
         _, artifacts = generations
-        reloader = EngineReloader(artifact_dir=artifacts[1], result_cache_size=0)
-        artifact, engine, batcher = reloader.build()
-        server = create_server(
-            engine, artifact, host=HOST, port=0, batcher=batcher, reloader=reloader
+        server, thread = running_server(
+            EngineReloader(artifact_dir=artifacts[1], result_cache_size=0)
         )
         port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         errors = []
         stop = threading.Event()
 
@@ -256,46 +260,61 @@ class TestSingleServerReload:
         ]
         assert got == [[(e, s) for e, s in answer] for answer in expected]
         server.shutdown()
-        server.server_close()
+        thread.join(timeout=5.0)
 
-    def test_reload_failure_keeps_old_generation(self, generations, tmp_path):
-        _, artifacts = generations
-        reloader = EngineReloader(artifact_dir=artifacts[1])
-        artifact, engine, batcher = reloader.build()
-        server = create_server(engine, artifact, host=HOST, port=0, reloader=reloader)
+    def test_reload_failure_keeps_old_generation(self, generations):
+        base, artifacts = generations
+        server, thread = running_server(EngineReloader(artifact_dir=artifacts[1]))
         port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
             status, decoded = http_json(
-                port, "POST", "/reload", {"artifact": str(tmp_path / "missing")}
+                port, "POST", "/reload", {"artifact": str(base / "missing")}
             )
             assert status == 500
             assert "still serving the old generation" in decoded["error"]
             status, stats = http_json(port, "GET", "/stats")
             assert stats["artifact"]["generation"] == 1
             assert stats["reloads"] == 0
+            # The failed path is not remembered: a plain reload (what SIGHUP
+            # does) rebuilds the generation being served.
+            assert server.reload().generation == 1
         finally:
             server.shutdown()
-            server.server_close()
+            thread.join(timeout=5.0)
 
-    def test_reload_without_reloader_is_descriptive(self, generations):
-        _, artifacts = generations
-        artifact = load_artifact(artifacts[1])
-        engine = InferenceEngine.from_artifact(artifact)
-        server = create_server(engine, artifact, host=HOST, port=0)
+    def test_reload_outside_served_root_is_forbidden(self, generations, tmp_path):
+        """/reload only accepts siblings of the artifact the server started with."""
+        base, artifacts = generations
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        escapes = [
+            str(outside),  # another directory entirely
+            str(base),  # the generations root itself
+            str(artifacts[2] / "params"),  # inside a generation
+            str(base / ".." / base.name / ".." / "gen-00002"),  # climbs out via ..
+        ]
+        server, thread = running_server(EngineReloader(artifact_dir=artifacts[1]))
         port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            status, decoded = http_json(port, "POST", "/reload")
-            assert status == 400
-            assert "EngineReloader" in decoded["error"]
-            with pytest.raises(RuntimeError, match="EngineReloader"):
-                server.reload()
+            for target in escapes:
+                status, decoded = http_json(port, "POST", "/reload", {"artifact": target})
+                assert status == 403, target
+                assert str(base.resolve()) in decoded["error"]
+            for malformed in (7, ["a"], "nul\u0000byte"):
+                status, decoded = http_json(port, "POST", "/reload", {"artifact": malformed})
+                assert status == 400, malformed
+            status, stats = http_json(port, "GET", "/stats")
+            assert stats["http_errors"] == len(escapes) + 3
+            assert stats["artifact"]["generation"] == 1
+            assert stats["reloads"] == 0
+            # A sibling generation, even spelled through "..", is accepted.
+            sibling = base / "gen-00001" / ".." / "gen-00002"
+            status, reloaded = http_json(port, "POST", "/reload", {"artifact": str(sibling)})
+            assert status == 200
+            assert reloaded["generation"] == 2
         finally:
             server.shutdown()
-            server.server_close()
+            thread.join(timeout=5.0)
 
 
 def flip_symlink(link: Path, target: Path) -> None:
@@ -329,12 +348,10 @@ class TestFleetHotSwap:
         current = tmp_path / "current"
         current.symlink_to(artifacts[1])
         fleet = ServingFleet(
-            current,
+            EngineReloader(artifact_dir=current, result_cache_size=0),
             host=HOST,
             port=0,
             workers=2,
-            micro_batch_window_ms=0.0,
-            result_cache_size=0,
         )
         port = fleet.start()
         errors = []

@@ -7,6 +7,7 @@ import pytest
 
 from repro.kge import train_model
 from repro.kge.topk import (
+    mask_known_scores,
     select_predictions,
     select_predictions_batch,
     top_k_indices,
@@ -167,6 +168,74 @@ class TestEngineOracleParity:
             full.query_batch(query_workload, top_k=7),
         ):
             assert_same_predictions(answer, expected)
+
+
+class TestSingleKernelParity:
+    """Served answers come from each family's own training candidate pass.
+
+    The oracle scores each relation's distinct queries with
+    ``score_candidates_chunk(params, queries, direction, start, stop)`` —
+    the kernel training and evaluation use — then masks and selects with
+    the shared helpers.  The engine must reproduce it bit for bit.  A
+    GEMM's rounding depends on its shape, so the oracle keeps the engine's
+    one pass per relation and its entity chunks (``0:n`` unchunked).
+    """
+
+    @staticmethod
+    def oracle(scoring_function, params, queries, index, filtered, chunk):
+        groups = {}
+        for direction, entity, relation in queries:
+            entities = groups.setdefault((direction, relation), [])
+            if entity not in entities:
+                entities.append(entity)
+        answers = {}
+        num_entities = params["entities"].shape[0]
+        for (direction, relation), entities in groups.items():
+            pairs = np.array([[entity, relation] for entity in entities], dtype=np.int64)
+            scores = np.concatenate(
+                [
+                    scoring_function.score_candidates_chunk(
+                        params, pairs, direction, start, min(start + chunk, num_entities)
+                    )
+                    for start in range(0, num_entities, chunk)
+                ],
+                axis=1,
+            )
+            if filtered:
+                mask_known_scores(scores, index, pairs[:, 0], pairs[:, 1], direction)
+            for entity, (order, top_scores) in zip(
+                entities, select_predictions_batch(scores, 10)
+            ):
+                answers[(direction, entity, relation)] = list(
+                    zip(order.tolist(), top_scores.tolist())
+                )
+        return [answers[query] for query in queries]
+
+    @pytest.mark.parametrize("entity_chunk_size", [0, 7])
+    @pytest.mark.parametrize("name", FAMILIES + ["searched"])
+    def test_engine_equals_candidate_pass(
+        self, name, entity_chunk_size, family_models, tiny_graph, query_workload
+    ):
+        model = family_models[name]
+        index = known_positive_index(tiny_graph)
+        engine = InferenceEngine(
+            model.scoring_function,
+            model.params,
+            filter_index=index,
+            entity_chunk_size=entity_chunk_size,
+            result_cache_size=0,
+        )
+        for filtered in (False, True):
+            expected = self.oracle(
+                model.scoring_function,
+                model.params,
+                query_workload,
+                index,
+                filtered,
+                chunk=entity_chunk_size or tiny_graph.num_entities,
+            )
+            answers = engine.query_batch(query_workload, top_k=10, filtered=filtered)
+            assert answers == expected, f"{name} filtered={filtered}"
 
 
 class TestFiltering:

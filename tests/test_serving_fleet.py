@@ -13,7 +13,9 @@ import pytest
 from repro.cli import main
 from repro.kge import train_model
 from repro.serving import (
+    EngineReloader,
     InferenceEngine,
+    QueryServer,
     ServingFleet,
     export_artifact,
     known_positive_index,
@@ -23,8 +25,8 @@ from repro.serving import (
     validate_serve_options,
     wait_until_healthy,
 )
-from repro.serving.fleet import FILTER_INDEX_DIRNAME, MAX_WORKERS
-from repro.serving.service import create_server, process_memory_info
+from repro.serving.fleet import FILTER_INDEX_DIRNAME, MAX_WORKERS, prepare_filter_index
+from repro.serving.service import process_memory_info
 from repro.utils.config import ConfigError, TrainingConfig
 
 HOST = "127.0.0.1"
@@ -135,9 +137,16 @@ def mixed_queries(tiny_graph):
 class TestServingFleet:
     def test_two_worker_fleet_parity_and_drain(self, fleet_artifact, mixed_queries):
         fleet = ServingFleet(
-            fleet_artifact, host=HOST, port=0, workers=2, micro_batch_window_ms=1.0
+            EngineReloader(fleet_artifact, micro_batch_window_s=0.001),
+            host=HOST,
+            port=0,
+            workers=2,
         )
         port = fleet.start()
+        # Idle workers all wake on a connection; the losers of the accept
+        # race must get EAGAIN, not park in accept() where SIGTERM can't
+        # reach their drain.
+        assert fleet.listener.getblocking() is False
         try:
             wait_until_healthy(HOST, port)
             # Parity oracle: single-process, fully in-memory engine.
@@ -170,7 +179,7 @@ class TestServingFleet:
         assert status == 0  # graceful exit, not a killed process
 
     def test_sigint_also_drains(self, fleet_artifact):
-        fleet = ServingFleet(fleet_artifact, host=HOST, port=0, workers=1)
+        fleet = ServingFleet(EngineReloader(fleet_artifact), host=HOST, port=0, workers=1)
         port = fleet.start()
         try:
             wait_until_healthy(HOST, port)
@@ -184,8 +193,9 @@ class TestServingFleet:
         self, fleet_artifact, tiny_graph
     ):
         index = known_positive_index(tiny_graph)
-        fleet = ServingFleet(fleet_artifact, port=0, workers=1, filter_index=index)
+        prepare_filter_index(index, fleet_artifact)
         assert (fleet_artifact / FILTER_INDEX_DIRNAME / "tails_codes.npy").exists()
+        fleet = ServingFleet(EngineReloader(fleet_artifact), port=0, workers=1)
         port = fleet.start()
         try:
             wait_until_healthy(HOST, port)
@@ -207,36 +217,37 @@ class TestServingFleet:
         from repro.serving import ArtifactError
 
         with pytest.raises(ArtifactError, match="does not exist"):
-            ServingFleet(tmp_path / "nowhere", port=0, workers=2)
+            ServingFleet(EngineReloader(tmp_path / "nowhere"), port=0, workers=2)
 
     def test_rejects_bad_options_before_forking(self, fleet_artifact):
         with pytest.raises(ConfigError, match="--workers"):
-            ServingFleet(fleet_artifact, port=0, workers=0)
+            ServingFleet(EngineReloader(fleet_artifact), port=0, workers=0)
 
 
 class TestGracefulShutdown:
     """Drain semantics of a single QueryServer, without forking."""
 
-    class SlowEngine:
-        """query_batch stub that takes long enough to straddle a shutdown."""
+    @pytest.fixture()
+    def slow_server(self, fleet_artifact):
+        """A running server whose engine takes long enough to straddle a shutdown."""
+        server = QueryServer((HOST, 0), EngineReloader(fleet_artifact))
+        started = threading.Event()
 
-        def __init__(self):
-            self.started = threading.Event()
-
-        def query_batch(self, queries, top_k=10, filtered=False):
-            self.started.set()
+        def slow_query_batch(queries, top_k=10, filtered=False):
+            started.set()
             time.sleep(0.3)
             return [[(0, 1.0)] for _ in queries]
 
-        def stats(self):
-            return {}
-
-    def test_inflight_request_completes_during_shutdown(self):
-        engine = self.SlowEngine()
-        server = create_server(engine, host=HOST, port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        server.engine.query_batch = slow_query_batch
+        thread = threading.Thread(target=server.run, daemon=True)
         thread.start()
+        yield server, thread, started
+        server.request_shutdown()
+        thread.join(timeout=5.0)
+
+    def test_inflight_request_completes_during_shutdown(self, slow_server):
+        server, thread, started = slow_server
+        port = server.server_address[1]
         result = {}
 
         def client():
@@ -246,36 +257,29 @@ class TestGracefulShutdown:
 
         caller = threading.Thread(target=client)
         caller.start()
-        assert engine.started.wait(timeout=5.0)
+        assert started.wait(timeout=5.0)
         server.request_shutdown()  # arrives mid-request
         caller.join(timeout=5.0)
+        # run() closes the server on exit, joining the handler thread: the
+        # drain barrier.
         thread.join(timeout=5.0)
-        server.server_close()  # joins the handler thread: the drain barrier
         assert not thread.is_alive()
         status, payload = result["response"]
         assert status == 200
         assert payload["predictions"][0]["entity"] == 0
 
-    def test_request_shutdown_is_idempotent(self):
-        engine = self.SlowEngine()
-        server = create_server(engine, host=HOST, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    def test_request_shutdown_is_idempotent(self, slow_server):
+        server, thread, _ = slow_server
         server.request_shutdown()
         server.request_shutdown()
         thread.join(timeout=5.0)
-        server.server_close()
         assert not thread.is_alive()
 
-    def test_listener_closed_after_shutdown(self):
-        engine = self.SlowEngine()
-        server = create_server(engine, host=HOST, port=0)
+    def test_listener_closed_after_shutdown(self, slow_server):
+        server, thread, _ = slow_server
         port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         server.request_shutdown()
         thread.join(timeout=5.0)
-        server.server_close()
         with pytest.raises(OSError):
             probe = socket.create_connection((HOST, port), timeout=0.5)
             probe.close()
@@ -283,19 +287,22 @@ class TestGracefulShutdown:
 
 class TestListenerAdoption:
     def test_server_adopts_prebound_socket(self, fleet_artifact):
-        artifact = load_artifact(fleet_artifact, mmap=True)
-        engine = InferenceEngine.from_artifact(artifact)
-        listener = socket.create_server((HOST, 0))
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind((HOST, 0))
+        listener.listen()
         port = listener.getsockname()[1]
-        server = create_server(engine, artifact, listen_socket=listener, worker_id=3)
+        server = QueryServer(
+            (HOST, 0), EngineReloader(fleet_artifact, mmap=True),
+            listen_socket=listener, worker_id=3,
+        )
         assert server.server_address[1] == port
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.run, daemon=True)
         thread.start()
         try:
             status, stats = http_json(port, "GET", "/stats")
             assert status == 200
             assert stats["worker"]["worker_id"] == 3
+            assert stats["params_memmap"] is True
         finally:
             server.request_shutdown()
             thread.join(timeout=5.0)
-            server.server_close()

@@ -15,10 +15,11 @@ from repro.obs.metrics import (
     parse_prometheus,
 )
 from repro.serving import (
+    EngineReloader,
     InferenceEngine,
     QueryRequest,
+    QueryServer,
     answer_queries,
-    create_server,
     export_artifact,
     format_response_rows,
     load_artifact,
@@ -115,15 +116,20 @@ class TestBatchMode:
         assert [len(response.predictions) for response in responses] == [2, 5]
 
 
+def running_server(reloader, **kwargs):
+    """A QueryServer on a free local port, running on a helper thread."""
+    server = QueryServer(("127.0.0.1", 0), reloader, **kwargs)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    return server, thread
+
+
 class TestHTTPService:
     @pytest.fixture()
-    def server(self, engine, artifact):
-        server = create_server(engine, artifact, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    def server(self, artifact):
+        server, thread = running_server(EngineReloader(artifact.path))
         yield server
         server.shutdown()
-        server.server_close()
         thread.join(timeout=5)
 
     @staticmethod
@@ -267,15 +273,11 @@ class TestMetricsEndpoint:
     @pytest.fixture()
     def server(self, artifact):
         registry = MetricsRegistry()
-        engine = InferenceEngine.from_artifact(artifact, registry=registry)
-        server = create_server(
-            engine, artifact, host="127.0.0.1", port=0, worker_id=3, registry=registry
+        server, thread = running_server(
+            EngineReloader(artifact.path, registry=registry), worker_id=3, registry=registry
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         yield server
         server.shutdown()
-        server.server_close()
         thread.join(timeout=5)
 
     @staticmethod

@@ -1,10 +1,12 @@
 """Tests for timing helpers and JSON serialization."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.utils.serialization import from_json_file, to_json_file, to_json_string
 from repro.utils.timing import Stopwatch, TimingRecorder
 
@@ -103,6 +105,23 @@ class TestTimingRecorder:
         assert left.count("evaluate") == 1
         # The source recorder is untouched.
         assert right.count("train") == 1
+
+    def test_memory_stays_constant_over_many_samples(self):
+        """A long-lived recorder (one per serving engine) must not grow per sample."""
+        recorder = TimingRecorder(registry=MetricsRegistry())
+        recorder.add("score", 0.001)  # creates the phase and its histogram
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(100_000):
+                recorder.add("score", 0.001)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Keeping every sample would cost ~3 MB here (list slot + float).
+        assert after - before < 4096
+        assert recorder.count("score") == 100_001
+        assert recorder.last("score") == 0.001
 
     def test_measure_records_on_exception(self):
         recorder = TimingRecorder()
