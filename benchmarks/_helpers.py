@@ -9,18 +9,11 @@ set the environment variable ``REPRO_BENCH_SCALE`` (default 0.3) and
 from __future__ import annotations
 
 import os
-import subprocess
 from pathlib import Path
-from typing import Any, Dict, Optional
-
-try:  # CI benchmark jobs install only numpy; the fixture below is optional.
-    import pytest
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    pytest = None
+from typing import Optional
 
 from repro.experiments import ExperimentSpec, SearchSpec
 from repro.utils.config import PredictorConfig, TrainingConfig
-from repro.utils.serialization import to_json_file
 
 #: Fraction of the miniature-profile size used by default in benches.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.3"))
@@ -31,53 +24,6 @@ BENCH_DIMENSION = int(os.environ.get("REPRO_BENCH_DIMENSION", "16"))
 
 #: Where the printed tables are also written as text files.
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Repository root — ``BENCH_<area>.json`` trajectory files land here so the
-#: perf history of a checkout is visible at a glance (and easy for CI to
-#: upload as artifacts).
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Version of the ``BENCH_<area>.json`` payload layout.
-BENCH_SCHEMA_VERSION = 1
-
-
-def git_revision() -> str:
-    """The current git commit hash, or ``"unknown"`` outside a checkout."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return completed.stdout.strip() or "unknown"
-
-
-def write_bench_summary(area: str, config: Dict[str, Any], metrics: Dict[str, Any]) -> Path:
-    """Write the machine-readable ``BENCH_<area>.json`` trajectory file.
-
-    Every ``bench_*.py --quick`` run records its headline numbers here
-    (see ``run_all.py``), one file per benchmark area at the repo root::
-
-        {"schema_version": 1, "area": ..., "revision": <git hash>,
-         "config": {...knobs that shaped the run...},
-         "metrics": {...headline numbers...}}
-
-    Comparing the same area's file across revisions gives the perf
-    trajectory of the project without re-running old checkouts.
-    """
-    payload = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "area": area,
-        "revision": git_revision(),
-        "config": config,
-        "metrics": metrics,
-    }
-    return to_json_file(payload, REPO_ROOT / f"BENCH_{area}.json")
 
 
 def bench_training_config(**overrides) -> TrainingConfig:
@@ -117,10 +63,3 @@ def publish(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
-
-if pytest is not None:
-
-    @pytest.fixture(scope="session")
-    def results_dir() -> Path:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        return RESULTS_DIR

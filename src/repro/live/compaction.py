@@ -8,7 +8,7 @@ order :func:`~repro.datasets.pipeline.ingest_tsv` would produce for the
 merged TSV — provided deletions never remove a symbol's first appearance
 and appends introduce new symbols in first-appearance order — the
 resulting shard files are **bit-identical** to a re-ingest (the parity
-oracle asserted in the tier-1 suite and ``bench_live_ingest.py``).  The
+oracle asserted in ``tests/test_live_store.py``).  The
 compacted manifest keeps the source store's ``generation`` so the
 counter stays a monotone audit trail; a re-ingested store restarts at 0,
 which is the one intended manifest difference.

@@ -107,11 +107,17 @@ class QueryRequest:
                     f"query field {key!r} must be an integer or a string, "
                     f"got {type(value).__name__}"
                 )
+        filtered = data.get("filtered", False)
+        if not isinstance(filtered, bool):
+            raise ValueError("query field 'filtered' must be a boolean")
         entity, relation = data["entity"], data["relation"]
         top_k = int(data.get("top_k", 10))
         if artifact is not None:
-            entity = artifact.entity_id(entity)
-            relation = artifact.relation_id(relation)
+            try:
+                entity = artifact.entity_id(entity)
+                relation = artifact.relation_id(relation)
+            except KeyError as error:
+                raise ValueError(error.args[0]) from None
             # The engine clips top_k; here a value above the served entity
             # count is refused instead, or each distinct one would cache
             # another full-vocabulary answer.
@@ -124,7 +130,7 @@ class QueryRequest:
             entity=int(entity),
             relation=int(relation),
             top_k=top_k,
-            filtered=bool(data.get("filtered", False)),
+            filtered=filtered,
         )
 
     def as_tuple(self) -> Tuple[str, int, int]:
@@ -467,12 +473,6 @@ class QueryServer(ThreadingHTTPServer):
     def uptime_s(self) -> float:
         return time.monotonic() - self.started_monotonic
 
-    @property
-    def query_target(self) -> Union[InferenceEngine, MicroBatcher]:
-        """What handler threads submit queries through."""
-        mount = self._mount
-        return mount[2] if mount[2] is not None else mount[0]
-
     def reload(self, artifact_dir: Optional[PathLike] = None) -> ModelArtifact:
         """Hot-swap to the artifact at ``artifact_dir`` (default: last one).
 
@@ -709,24 +709,26 @@ class QueryHandler(BaseHTTPRequestHandler):
         except (ValueError, TypeError) as error:
             self._send_error_json(400, f"invalid JSON body: {error}")
             return
+        # One mount snapshot per request: a reload mid-request must not parse
+        # with one generation and answer or label with another.
+        engine, artifact, batcher = self.server._mount
         try:
             if isinstance(payload, dict) and "queries" in payload:
                 raw_queries = payload["queries"]
                 if not isinstance(raw_queries, list):
                     raise ValueError('"queries" must be a list of query objects')
-                requests = [
-                    QueryRequest.from_dict(entry, self.server.artifact)
-                    for entry in raw_queries
-                ]
+                requests = [QueryRequest.from_dict(entry, artifact) for entry in raw_queries]
                 batched = True
             else:
-                requests = [QueryRequest.from_dict(payload, self.server.artifact)]
+                requests = [QueryRequest.from_dict(payload, artifact)]
                 batched = False
-        except (KeyError, ValueError) as error:
+        except ValueError as error:
             self._send_error_json(400, str(error))
             return
         try:
-            responses = answer_queries(self.server.query_target, requests, self.server.artifact)
+            responses = answer_queries(
+                batcher if batcher is not None else engine, requests, artifact
+            )
         except ValueError as error:
             self._send_error_json(400, str(error))
             return

@@ -2,11 +2,14 @@
 
 :class:`TimingRecorder` is also the bridge into the telemetry layer
 (:mod:`repro.obs`): every sample it records is additionally observed into
-a phase-labelled latency histogram on its registry and emitted as a leaf
-trace span on the process-global tracer — all from the *same* clock
-reading, so Table VII attribution, ``/metrics`` histograms and
-``repro trace summarize`` totals agree exactly.  With the default null
-registry and null tracer those extra sinks are no-op method calls.
+a phase-labelled latency histogram on its registry, from the *same*
+reading, so Table VII attribution and ``/metrics`` histograms agree
+exactly.  Only samples timed by :meth:`TimingRecorder.measure` also become
+a leaf trace span on the process-global tracer; a duration handed to
+:meth:`TimingRecorder.add` (such as the evaluator's ``train`` and
+``evaluate`` phases) has no start time of its own and emits no span.  With
+the default null registry and null tracer those extra sinks are no-op
+method calls.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ sampler builders must equal their in-memory constructions.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,25 @@ class TestTripleStream:
         assert np.isfinite(history.losses).all()
         with pytest.raises(ValueError, match="graph, a stream, or both"):
             Trainer(get_scoring_function("simple"), config).fit(None)
+
+
+    @pytest.mark.slow
+    def test_streamed_epoch_memory_is_bounded(self, tmp_path):
+        """One epoch over a 2M-triple store peaks under a quarter of the split."""
+        store = generate_streaming_store(
+            tmp_path / "big", num_entities=20_000, num_relations=48, num_triples=2_000_000,
+            valid_fraction=0.01, test_fraction=0.01, seed=0,
+        )
+        split_bytes = store.split_count("train") * 3 * 8
+        assert store.split_count("train") >= 1_000_000
+        tracemalloc.start()
+        try:
+            for _batch in TripleStream(store, "train", batch_size=512, seed=1).epoch(0):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * split_bytes, (peak, split_bytes)
 
 
 class TestShardAwareState:

@@ -19,6 +19,7 @@ from repro.live import (
     finetune_delta,
     warm_start_entities,
 )
+from repro.obs.metrics import MetricsRegistry, NullRegistry, get_registry, set_registry
 from repro.utils.config import ConfigError, TrainingConfig
 
 
@@ -155,6 +156,21 @@ class TestFinetuneDelta:
         )
         for key in first:
             assert first[key].tobytes() == second[key].tobytes(), key
+
+    def test_null_registry_parity(self, trained, pairwise_config, delta):
+        """Telemetry on vs off must not change a single fine-tuned bit."""
+        outputs = []
+        previous = get_registry()
+        try:
+            for registry in (MetricsRegistry(), NullRegistry()):
+                set_registry(registry)
+                params, _, _ = finetune_delta(
+                    trained.scoring_function, trained.params, pairwise_config, delta
+                )
+                outputs.append({key: value.tobytes() for key, value in params.items()})
+        finally:
+            set_registry(previous)
+        assert outputs[0] == outputs[1]
 
     def test_multiclass_loss_rejected(self, trained, delta):
         config = TrainingConfig(dimension=8, epochs=1, loss="multiclass", seed=0)

@@ -1,17 +1,27 @@
 """Tests for the pre-forked serving fleet, filter-index persistence, drain."""
 
 import json
+import os
+import re
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from http.client import HTTPConnection
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.kge import train_model
+from repro.kge.model import KGEModel
+from repro.kge.scoring import get_scoring_function
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, parse_prometheus
 from repro.serving import (
     EngineReloader,
     InferenceEngine,
@@ -306,3 +316,160 @@ class TestListenerAdoption:
         finally:
             server.request_shutdown()
             thread.join(timeout=5.0)
+
+
+# ----------------------------------------------------------------------
+# `repro-autosf serve --workers N` as an operator runs it
+# ----------------------------------------------------------------------
+def synthetic_artifact(directory, entities, relations, dimension):
+    """A seeded random-init ComplEx artifact: serving plumbing needs no training."""
+    scoring = get_scoring_function("complex")
+    params = scoring.init_params(entities, relations, dimension, rng=0)
+    model = KGEModel(scoring, TrainingConfig(dimension=dimension, epochs=1, seed=0), params=params)
+    return export_artifact(model, directory / "artifact"), sum(a.nbytes for a in params.values())
+
+
+@contextmanager
+def cli_fleet(artifact_dir, log_path, *flags, env=None):
+    """Run ``serve --port 0`` in a subprocess; yields ``(process, port)`` once healthy.
+
+    The bound port is read from the start-up banner.  On exit the fleet gets
+    SIGTERM; the caller checks ``process.returncode``.
+    """
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    with open(log_path, "w", encoding="utf-8") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--artifact", str(artifact_dir),
+             "--host", HOST, "--port", "0", *flags],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        while (found := re.search(r"http://127\.0\.0\.1:(\d+)", log_path.read_text())) is None:
+            assert process.poll() is None and time.monotonic() < deadline, log_path.read_text()
+            time.sleep(0.05)
+        port = int(found.group(1))
+        wait_until_healthy(HOST, port, timeout_s=60.0)
+        yield process, port
+    finally:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+
+
+def get_text(port, path):
+    """One GET on a fresh connection; returns (status, headers, body text)."""
+    connection = HTTPConnection(HOST, port, timeout=30.0)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, dict(response.getheaders()), response.read().decode("utf-8")
+    finally:
+        connection.close()
+
+
+def post_ok(port, payload):
+    status, answer = http_json(port, "POST", "/query", payload)
+    assert status == 200, answer
+
+
+def scrape_every_worker(port, workers):
+    """Scrape ``/metrics`` on fresh connections until each worker answered.
+
+    Every scrape must be valid Prometheus text with the 0.0.4 content type
+    and exactly one ``repro_worker_info`` sample naming its worker.
+    """
+    seen = {}
+    for _ in range(200):
+        status, headers, body = get_text(port, "/metrics")
+        assert status == 200
+        assert headers.get("Content-Type") == PROMETHEUS_CONTENT_TYPE
+        parsed = parse_prometheus(body)  # raises on a malformed line
+        (worker_id,) = {
+            dict(labels)["worker_id"]
+            for name, labels in parsed["samples"]
+            if name == "repro_worker_info"
+        }
+        seen[worker_id] = parsed
+        if len(seen) == workers:
+            return seen
+        time.sleep(0.01)
+    raise AssertionError(f"only workers {sorted(seen)} answered 200 scrapes")
+
+
+class TestCliFleet:
+    def test_metrics_counters_are_monotone_per_worker(self, tmp_path):
+        burst = 40
+        artifact, _ = synthetic_artifact(tmp_path, 2000, 8, 16)
+
+        def query_burst(port):
+            for index in range(burst):
+                post_ok(port, {"direction": "tail", "entity": index % 2000,
+                               "relation": index % 8, "top_k": 5})
+
+        with cli_fleet(artifact, tmp_path / "serve.log", "--workers", "2") as (process, port):
+            query_burst(port)
+            first = scrape_every_worker(port, 2)
+            query_burst(port)
+            second = scrape_every_worker(port, 2)
+        assert process.returncode == 0  # SIGTERM drains the fleet cleanly
+
+        def requests_total(scrapes, worker_id):
+            key = ("repro_http_requests_total", (("worker_id", worker_id),))
+            return scrapes[worker_id]["samples"].get(key, 0.0)
+
+        for worker_id in second:
+            assert second[worker_id]["types"]["repro_http_requests_total"] == "counter"
+            assert requests_total(second, worker_id) >= requests_total(first, worker_id)
+        growth = sum(requests_total(second, w) - requests_total(first, w) for w in second)
+        assert growth >= burst
+
+    @pytest.mark.slow
+    def test_workers_share_the_memmapped_embeddings(self, tmp_path):
+        """Per-worker private RSS under load stays below half the embedding bytes.
+
+        The embeddings are file-backed memmap pages shared through the page
+        cache, so a worker's private memory above its parent's is caches and
+        scratch, not a copy.  glibc's mmap threshold is pinned so freed
+        scoring slabs go back to the OS instead of lingering in malloc arenas.
+        """
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("needs /proc to read resident memory")
+        entities, relations, workers = 96_000, 64, 2
+        artifact, embedding_bytes = synthetic_artifact(tmp_path, entities, relations, 64)
+        rng = np.random.default_rng(1)
+        weights = 1.0 / np.arange(1, relations + 1) ** 1.1  # Zipf-skewed relations
+        queries = [
+            {"direction": "tail" if tail else "head", "entity": int(entity),
+             "relation": int(relation), "top_k": 10}
+            for tail, entity, relation in zip(
+                rng.random(8000) < 0.5,
+                rng.integers(0, entities, 8000),
+                rng.choice(relations, size=8000, p=weights / weights.sum()),
+            )
+        ]
+        payloads = [{"queries": queries[start:start + 32]} for start in range(0, 8000, 32)]
+        with cli_fleet(
+            artifact, tmp_path / "serve.log", "--workers", str(workers),
+            "--batch-size", "32", "--micro-batch-window", "2",
+            env={"MALLOC_MMAP_THRESHOLD_": "131072"},
+        ) as (process, port):
+            with ThreadPoolExecutor(max_workers=8) as clients:
+                list(clients.map(lambda payload: post_ok(port, payload), payloads))
+            statm = Path(f"/proc/{process.pid}/statm").read_text().split()
+            parent_private = (int(statm[1]) - int(statm[2])) * os.sysconf("SC_PAGE_SIZE")
+            private = {}
+            for _ in range(200):
+                _, stats = http_json(port, "GET", "/stats")
+                private[stats["worker"]["worker_id"]] = stats["worker"]["private_bytes"]
+                if len(private) == workers:
+                    break
+        assert process.returncode == 0
+        assert len(private) == workers, private
+        worst = max(private.values()) - parent_private
+        assert worst < 0.5 * embedding_bytes, (worst, embedding_bytes)

@@ -7,6 +7,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.kge import train_model
 from repro.obs.metrics import (
@@ -63,6 +65,61 @@ class TestQuerySchema:
     def test_invalid_top_k(self):
         with pytest.raises(ValueError, match="top_k"):
             QueryRequest(direction="tail", entity=0, relation=0, top_k=0)
+
+    @pytest.mark.parametrize("value", ["false", "no", [0], 0, 1, None])
+    def test_filtered_must_be_a_json_boolean(self, artifact, value):
+        # bool("false") is True: a truthy string used to switch filtering on.
+        query = {"direction": "tail", "entity": 0, "relation": 0, "filtered": value}
+        with pytest.raises(ValueError, match="'filtered' must be a boolean"):
+            QueryRequest.from_dict(query, artifact)
+
+
+#: Any JSON value, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+#: Per field: mostly plausible values, mixed with arbitrary JSON.
+FIELD_VALUES = {
+    "direction": st.sampled_from(["tail", "head"]) | JSON_VALUES,
+    "entity": st.integers(-2, 70) | st.integers(-2, 70).map(str) | JSON_VALUES,
+    "relation": st.integers(-2, 8) | st.integers(-2, 8).map(str) | JSON_VALUES,
+    "top_k": st.integers(-2, 70) | st.integers(-2, 70).map(str) | JSON_VALUES,
+    "filtered": st.booleans() | JSON_VALUES,
+}
+
+
+@st.composite
+def query_payloads(draw):
+    """A query object whose fields are each present nine times in ten."""
+    return {
+        key: draw(values)
+        for key, values in FIELD_VALUES.items()
+        if draw(st.integers(0, 9)) > 0
+    }
+
+
+@pytest.mark.property
+class TestQuerySchemaFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=query_payloads() | JSON_VALUES, resolve=st.booleans())
+    def test_from_dict_returns_exact_types_or_raises_value_error(
+        self, artifact, payload, resolve
+    ):
+        try:
+            request = QueryRequest.from_dict(payload, artifact if resolve else None)
+        except ValueError:
+            return
+        assert type(request.direction) is str and request.direction in ("tail", "head")
+        assert type(request.entity) is int and type(request.relation) is int
+        assert type(request.top_k) is int and request.top_k >= 1
+        assert type(request.filtered) is bool
+        if resolve:
+            assert 0 <= request.entity < artifact.num_entities
+            assert 0 <= request.relation < artifact.num_relations
 
 
 class TestBatchMode:
@@ -195,9 +252,10 @@ class TestHTTPService:
         assert "missing required fields" in json.loads(excinfo.value.read())["error"]
 
         # A null, list or object in a numeric field used to raise TypeError
-        # out of do_POST: the handler thread died without answering.
+        # out of do_POST: the handler thread died without answering.  In
+        # "filtered" it used to be coerced with bool().
         query = {"direction": "tail", "entity": 0, "relation": 0, "top_k": 3}
-        for key in ("entity", "relation", "top_k"):
+        for key in ("entity", "relation", "top_k", "filtered"):
             for value in (None, [1], {"id": 1}):
                 _, before = self._get(server, "/stats")
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -267,6 +325,41 @@ class TestHTTPService:
         _, second = self._get(server, "/stats")
         assert first["uptime_s"] >= 0.0
         assert second["uptime_s"] >= first["uptime_s"]
+
+    def test_reload_mid_request_answers_from_one_generation(
+        self, server, artifact, tiny_graph, tmp_path, monkeypatch
+    ):
+        """A request parsed before a reload is answered by the old generation."""
+        config = TrainingConfig(dimension=8, epochs=1, batch_size=64, learning_rate=0.5, seed=1)
+        second = export_artifact(
+            train_model(tiny_graph, "complex", config), tmp_path / "gen-2", graph=tiny_graph
+        )
+        parse = QueryRequest.from_dict.__func__
+        parsed = []
+
+        def parse_then_reload(cls, data, resolver=None):
+            request = parse(cls, data, resolver)
+            parsed.append(request)
+            if len(parsed) == 1:
+                server.reload(second)
+            return request
+
+        monkeypatch.setattr(QueryRequest, "from_dict", classmethod(parse_then_reload))
+        queries = [("tail", 0, 0), ("head", 1, 1), ("tail", 2, 2), ("head", 3, 0)]
+        status, payload = self._post(
+            server,
+            "/query",
+            {"queries": [
+                {"direction": d, "entity": e, "relation": r, "top_k": 5} for d, e, r in queries
+            ]},
+        )
+        assert status == 200 and server.reloads == 1
+        expected = InferenceEngine.from_artifact(artifact).query_batch(queries, top_k=5)
+        got = [
+            [(p["entity"], p["score"]) for p in response["predictions"]]
+            for response in payload["responses"]
+        ]
+        assert got == [list(answer) for answer in expected]
 
 
 class TestMetricsEndpoint:
