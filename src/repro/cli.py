@@ -899,9 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MS",
-        help="coalesce concurrent queries arriving within this many "
-        "milliseconds into one engine call (0 disables; default: 2 ms "
-        "when --workers > 1, else 0)",
+        help="any positive value turns on group-commit coalescing: queries "
+        "that arrive while an engine call runs are answered together by the "
+        "next one; MS is only an upper bound on a caller's extra waiting, and "
+        "group commit adds none (0 mounts no batcher; default: 2 ms when "
+        "--workers > 1, else 0)",
     )
     _add_dataset_arguments(serve_parser)
     serve_parser.set_defaults(handler=command_serve)

@@ -28,10 +28,12 @@ bulk:
   once the relation has proven hot, so one-off scans cannot evict the head
   of a skewed (Zipfian) relation distribution;
 * concurrent callers (the serving fleet's handler threads) can go through a
-  :class:`MicroBatcher`, which coalesces query batches arriving within a
-  small window into one ``query_batch`` call — amortizing per-relation
-  passes and slab-vectorized top-k across requests exactly like the train
-  engine amortizes per-batch work.
+  :class:`MicroBatcher`, which group-commits: a caller that finds it idle
+  flushes at once, and the callers that arrive while that engine call runs
+  are answered together by the next single ``query_batch`` call —
+  amortizing per-relation passes and slab-vectorized top-k across requests
+  exactly like the train engine amortizes per-batch work, without making
+  any caller sleep.
 
 The engine never writes to its parameter arrays, so it is safe over the
 read-only memmap views a multi-worker fleet shares
@@ -48,7 +50,6 @@ training engines.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -572,34 +573,41 @@ class InferenceEngine:
 
 
 class _PendingCall:
-    """One caller's queries waiting inside a :class:`MicroBatcher` window."""
+    """One caller's queries queued inside a :class:`MicroBatcher`."""
 
-    __slots__ = ("queries", "top_k", "filtered", "done", "results", "error")
+    __slots__ = ("queries", "top_k", "filtered", "done", "leads", "results", "error")
 
     def __init__(self, queries: List[Query], top_k: int, filtered: bool) -> None:
         self.queries = queries
         self.top_k = top_k
         self.filtered = filtered
+        # Set once the call is answered, or once it is promoted to lead.
         self.done = threading.Event()
+        self.leads = False
         self.results: Optional[List[List[Prediction]]] = None
         self.error: Optional[BaseException] = None
 
 
 class MicroBatcher:
-    """Dynamic micro-batching over an :class:`InferenceEngine`.
+    """Group-commit micro-batching over an :class:`InferenceEngine`.
 
     Concurrent callers (one HTTP handler thread per in-flight request)
-    submit through :meth:`query_batch`; calls arriving within ``window_s``
-    of each other are coalesced into one engine call, where the engine's
-    per-(relation, direction) grouping amortizes per-relation passes
-    and slab top-k across all of them.  The first caller of a round becomes
-    the *leader*: it sleeps out the window, flushes every pending call, and
-    distributes the answers; followers just wait on their event.
+    submit through :meth:`query_batch`.  A caller that finds the batcher
+    idle becomes the *leader* and flushes at once.  Callers that arrive
+    while the leader's engine call runs queue up; when it finishes, the
+    first of them is promoted to lead the next flush, which answers every
+    queued call in one engine call — the engine's per-(relation,
+    direction) grouping then amortizes per-relation passes and slab top-k
+    across all of them.  No caller waits on a batch it is not part of, and
+    leadership is handed off (or released) in a ``finally``, so a failed
+    flush cannot wedge later callers.
 
     Exposes the same ``query_batch(queries, top_k, filtered)`` signature as
     the engine, so :func:`repro.serving.service.answer_queries` works with
-    either.  Single-caller latency cost is exactly the window (default 2 ms)
-    — the throughput/latency knob of the serving fleet.  A combined call
+    either.  ``window_s`` is only an upper bound on the extra waiting a
+    caller may be charged, and group commit adds none: a lone caller goes
+    straight through, and a queued one waits only for the engine call it
+    would have queued behind on the engine's lock anyway.  A combined call
     that fails is retried per caller, so one request with an out-of-range
     entity cannot poison the answers of the calls it was coalesced with.
     """
@@ -609,7 +617,7 @@ class MicroBatcher:
 
     def __init__(self, engine: InferenceEngine, window_s: float = 0.002) -> None:
         if window_s < 0:
-            raise ValueError("window_s must be non-negative (0 disables batching)")
+            raise ValueError("window_s must be non-negative")
         self.engine = engine
         self.window_s = float(window_s)
         self._lock = threading.Lock()
@@ -627,37 +635,45 @@ class MicroBatcher:
         filtered: bool = False,
     ) -> List[List[Prediction]]:
         """Answer queries, coalescing with concurrent callers (blocking)."""
-        if self.window_s == 0:
-            with self._lock:
-                self.calls += 1
-                self.batches += 1
-            return self.engine.query_batch(queries, top_k=top_k, filtered=filtered)
         call = _PendingCall(list(queries), int(top_k), bool(filtered))
         with self._lock:
             self.calls += 1
             self._pending.append(call)
-            is_leader = not self._leader_active
-            if is_leader:
-                self._leader_active = True
-        if is_leader:
-            time.sleep(self.window_s)
-            self._flush()
-        if not call.done.wait(timeout=self._WAIT_TIMEOUT_S):  # pragma: no cover
-            raise RuntimeError("micro-batch leader failed to flush in time")
+            if not self._leader_active:
+                self._leader_active = call.leads = True
+        if not call.leads and not call.done.wait(timeout=self._WAIT_TIMEOUT_S):
+            with self._lock:  # pragma: no cover - a leader never takes this long
+                if not call.leads:
+                    if call in self._pending:
+                        self._pending.remove(call)
+                    raise RuntimeError("micro-batch leader failed to flush in time")
+        if call.leads:
+            self._lead()
         if call.error is not None:
             raise call.error
         assert call.results is not None
         return call.results
 
-    def _flush(self) -> None:
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-            self._leader_active = False
-            if batch:
+    def _lead(self) -> None:
+        """Flush every queued call, then hand leadership to the next queued one."""
+        try:
+            with self._lock:
+                batch = self._pending
+                self._pending = []
                 self.batches += 1
                 self.coalesced_calls += len(batch) - 1
                 self.largest_batch = max(self.largest_batch, len(batch))
+            self._flush(batch)
+        finally:
+            with self._lock:
+                if self._pending:
+                    successor = self._pending[0]
+                    successor.leads = True
+                    successor.done.set()
+                else:
+                    self._leader_active = False
+
+    def _flush(self, batch: List[_PendingCall]) -> None:
         try:
             groups: Dict[Tuple[int, bool], List[_PendingCall]] = {}
             for call in batch:
@@ -665,12 +681,11 @@ class MicroBatcher:
             for (top_k, filtered), calls in groups.items():
                 self._answer_group(calls, top_k, filtered)
         finally:
-            # Never leave a follower hanging, whatever went wrong above.
+            # Never leave a caller without an answer, whatever went wrong above.
             for call in batch:
-                if not call.done.is_set():  # pragma: no cover - defensive
-                    if call.error is None and call.results is None:
-                        call.error = RuntimeError("micro-batch flush failed")
-                    call.done.set()
+                if call.error is None and call.results is None:
+                    call.error = RuntimeError("micro-batch flush failed")
+                call.done.set()
 
     def _answer_group(
         self, calls: List[_PendingCall], top_k: int, filtered: bool
@@ -678,7 +693,10 @@ class MicroBatcher:
         combined = [query for call in calls for query in call.queries]
         try:
             answers = self.engine.query_batch(combined, top_k=top_k, filtered=filtered)
-        except Exception:
+        except Exception as failure:
+            if len(calls) == 1:  # nothing to isolate; the flush sets ``done``
+                calls[0].error = failure
+                return
             # One bad query fails the combined call; isolate the offender by
             # answering each caller separately.
             for call in calls:

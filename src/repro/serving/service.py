@@ -732,6 +732,9 @@ class QueryHandler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._send_error_json(400, str(error))
             return
+        except Exception as error:  # noqa: BLE001 - answer, never drop the connection
+            self._send_error_json(500, f"query failed: {error}")
+            return
         self.server.count_request()
         if batched:
             self._send_json(200, {"responses": [response.to_dict() for response in responses]})

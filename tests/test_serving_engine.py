@@ -1,6 +1,7 @@
 """Tests for the batched inference engine: parity, filtering, caching, top-k."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -483,6 +484,40 @@ class TestSharedMemmapConcurrency:
             engine.params["entities"][0, 0] = 123.0
 
 
+class _GatedEngine:
+    """An engine whose first ``query_batch`` blocks until ``release`` is set.
+
+    Leaders call the engine one at a time, so no lock is needed here.
+    """
+
+    def __init__(self, engine, fail_first=False):
+        self.engine = engine
+        self.fail_first = fail_first
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batch_sizes = []
+
+    def query_batch(self, queries, top_k=10, filtered=False):
+        self.batch_sizes.append(len(queries))
+        if len(self.batch_sizes) == 1:
+            self.entered.set()
+            self.release.wait(10)
+            if self.fail_first:
+                raise RuntimeError("engine down")
+        return self.engine.query_batch(queries, top_k=top_k, filtered=filtered)
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
+def _ids(answers):
+    return [[entity for entity, _ in answer] for answer in answers]
+
+
 class TestMicroBatcher:
     def test_zero_window_is_passthrough(self, family_models, query_workload):
         model = family_models["complex"]
@@ -507,31 +542,117 @@ class TestMicroBatcher:
             query_workload, top_k=5
         )
 
+    def test_lone_caller_does_not_wait_out_the_window(self, family_models, query_workload):
+        model = family_models["complex"]
+        batcher = MicroBatcher(InferenceEngine(model.scoring_function, model.params), window_s=0.5)
+        started = time.perf_counter()
+        batcher.query_batch(query_workload[:4], top_k=5)
+        assert time.perf_counter() - started < 0.25
+
     def test_concurrent_callers_coalesce(self, family_models, query_workload):
+        # Callers queued behind a running engine call form the next batch.
+        model = family_models["complex"]
+        gated = _GatedEngine(
+            InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
+        )
+        reference = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
+        batcher = MicroBatcher(gated, window_s=0.05)
+        chunks = [query_workload[i::4] for i in range(4)]
+        # Bit-exact against the one combined call the queued callers share.
+        combined = reference.query_batch([q for chunk in chunks for q in chunk], top_k=5)
+        sizes = np.cumsum([0] + [len(chunk) for chunk in chunks])
+        expected = [combined[a:b] for a, b in zip(sizes[:-1], sizes[1:])]
+        results = [None] * len(chunks)
+
+        def caller(index):
+            results[index] = batcher.query_batch(chunks[index], top_k=5)
+
+        blocker = threading.Thread(target=batcher.query_batch, args=(query_workload[:2],))
+        blocker.start()
+        assert gated.entered.wait(10)
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(chunks))]
+        for queued, thread in enumerate(threads, start=1):
+            thread.start()  # one at a time, so they queue in chunk order
+            _wait_for(lambda: batcher.stats()["calls"] == 1 + queued)
+        gated.release.set()
+        for thread in [blocker] + threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert results == expected
+        # The four queued callers were answered by one engine call.
+        assert gated.batch_sizes == [2, len(query_workload)]
+        stats = batcher.stats()
+        assert stats["batches"] == 2
+        assert stats["coalesced_calls"] == len(chunks) - 1
+        assert stats["largest_batch_calls"] == len(chunks)
+
+    def test_leader_handoff_under_contention(self, family_models, query_workload):
         model = family_models["complex"]
         engine = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
         reference = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
-        batcher = MicroBatcher(engine, window_s=0.05)
-        chunks = [query_workload[0::2], query_workload[1::2]]
-        expected = [reference.query_batch(chunk, top_k=5) for chunk in chunks]
-        results = [None, None]
-        barrier = threading.Barrier(2)
+        batcher = MicroBatcher(engine, window_s=0.002)
+        chunks = [query_workload[i : i + 3] for i in range(len(query_workload) - 2)]
+        expected = [_ids(reference.query_batch(chunk, top_k=5)) for chunk in chunks]
+        threads_n, calls_n = 8, 50
+        mismatches = []
+        barrier = threading.Barrier(threads_n)
 
-        def caller(index):
+        def caller(offset):
             barrier.wait()
-            results[index] = batcher.query_batch(chunks[index], top_k=5)
+            for i in range(calls_n):
+                index = (offset * 7 + i) % len(chunks)
+                if _ids(batcher.query_batch(chunks[index], top_k=5)) != expected[index]:
+                    mismatches.append(index)
 
-        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=caller, args=(t,)) for t in range(threads_n)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        assert results[0] == expected[0]
-        assert results[1] == expected[1]
+            thread.join(60)
+            assert not thread.is_alive()
+        assert mismatches == []
         stats = batcher.stats()
-        assert stats["calls"] == 2
-        assert stats["coalesced_calls"] >= 1
-        assert stats["largest_batch_calls"] == 2
+        assert stats["calls"] == threads_n * calls_n
+        assert stats["batches"] + stats["coalesced_calls"] == stats["calls"]
+
+    def test_failed_flush_hands_off_to_queued_callers(self, family_models, query_workload):
+        model = family_models["complex"]
+        gated = _GatedEngine(
+            InferenceEngine(model.scoring_function, model.params), fail_first=True
+        )
+        reference = InferenceEngine(model.scoring_function, model.params)
+        batcher = MicroBatcher(gated, window_s=0.05)
+        outcome = {}
+
+        def leader():
+            try:
+                batcher.query_batch(query_workload[:2], top_k=5)
+            except RuntimeError as error:
+                outcome["leader"] = error
+
+        def follower(index):
+            outcome[index] = batcher.query_batch(query_workload[index : index + 2], top_k=5)
+
+        threads = [threading.Thread(target=leader)]
+        threads[0].start()
+        assert gated.entered.wait(10)
+        threads += [threading.Thread(target=follower, args=(i,)) for i in (4, 8)]
+        for thread in threads[1:]:
+            thread.start()
+        _wait_for(lambda: batcher.stats()["calls"] == 3)
+        gated.release.set()
+        for thread in threads:
+            thread.join(10)  # far below the followers' 120 s safety net
+            assert not thread.is_alive()
+        assert "engine down" in str(outcome["leader"])
+        for index in (4, 8):
+            assert outcome[index] == reference.query_batch(
+                query_workload[index : index + 2], top_k=5
+            )
+        # The batcher is idle again: a later lone caller leads at once.
+        assert batcher.query_batch(query_workload[:2], top_k=5) == reference.query_batch(
+            query_workload[:2], top_k=5
+        )
 
     def test_error_isolated_to_offending_caller(self, family_models, query_workload):
         model = family_models["complex"]

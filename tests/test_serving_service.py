@@ -15,6 +15,7 @@ from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
     parse_prometheus,
+    render_prometheus,
 )
 from repro.serving import (
     EngineReloader,
@@ -360,6 +361,34 @@ class TestHTTPService:
             for response in payload["responses"]
         ]
         assert got == [list(answer) for answer in expected]
+
+    @pytest.mark.parametrize("window_s", [0.0, 0.05])
+    def test_engine_failure_returns_500(self, artifact, monkeypatch, window_s):
+        """An unexpected error while answering used to drop the connection."""
+        registry = MetricsRegistry()
+        server, thread = running_server(
+            EngineReloader(artifact.path, micro_batch_window_s=window_s, registry=registry),
+            registry=registry,
+        )
+        try:
+            def boom(self, queries, top_k=10, filtered=False):
+                raise RuntimeError("engine exploded")
+
+            query = {"direction": "tail", "entity": 0, "relation": 0, "top_k": 3}
+            with monkeypatch.context() as patch:
+                patch.setattr(InferenceEngine, "query_batch", boom)
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    self._post(server, "/query", query)
+            assert excinfo.value.code == 500
+            assert json.loads(excinfo.value.read()) == {"error": "query failed: engine exploded"}
+            assert server.errors == 1
+            errors = parse_prometheus(render_prometheus(registry))["samples"]
+            assert errors[("repro_http_errors_total", (("worker_id", "0"),))] == 1.0
+            # Nothing is wedged: the next query is answered.
+            assert self._post(server, "/query", query)[0] == 200
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
 
 
 class TestMetricsEndpoint:
