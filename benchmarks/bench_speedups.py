@@ -249,7 +249,7 @@ def telemetry_claim(artifact_dir: Path):
 def fleet_qps(artifact_dir: Path, workers: int, payloads) -> float:
     """Closed-loop QPS of 8 clients, each request on a fresh connection."""
     fleet = ServingFleet(
-        EngineReloader(artifact_dir, micro_batch_window_s=0.002, batch_size=32),
+        EngineReloader(artifact_dir, micro_batch=True, batch_size=32),
         host=HOST, port=0, workers=workers,
     )
     port = fleet.start()

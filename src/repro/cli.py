@@ -571,10 +571,8 @@ def command_query(args: argparse.Namespace) -> int:
 
 def command_serve(args: argparse.Namespace) -> int:
     window_ms = args.micro_batch_window
-    if window_ms is None:
-        window_ms = 2.0 if args.workers > 1 else 0.0
     try:
-        validate_serve_options(args.port, args.workers, window_ms)
+        validate_serve_options(args.port, args.workers, window_ms or 0.0)
     except ConfigError as error:
         raise SystemExit(str(error))
     # A memmap load validates the artifact (and the --filter dataset
@@ -589,7 +587,7 @@ def command_serve(args: argparse.Namespace) -> int:
         artifact_dir=args.artifact,
         batch_size=args.batch_size,
         entity_chunk_size=args.entity_chunk_size,
-        micro_batch_window_s=window_ms / 1000.0,
+        micro_batch=args.workers > 1 if window_ms is None else window_ms > 0,
     )
     if args.workers > 1:
         try:
@@ -899,11 +897,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MS",
-        help="any positive value turns on group-commit coalescing: queries "
-        "that arrive while an engine call runs are answered together by the "
-        "next one; MS is only an upper bound on a caller's extra waiting, and "
-        "group commit adds none (0 mounts no batcher; default: 2 ms when "
-        "--workers > 1, else 0)",
+        help="any positive value mounts the group-commit micro-batcher: "
+        "queries that arrive while an engine call runs are answered together "
+        "by the next one, and no caller waits on a timer, so the value itself "
+        "sets nothing else (0 mounts no batcher; default: on when "
+        "--workers > 1, else off)",
     )
     _add_dataset_arguments(serve_parser)
     serve_parser.set_defaults(handler=command_serve)

@@ -11,7 +11,7 @@ AutoSF search — into something deployable, in three layers:
   family's own candidate pass (one
   :class:`~repro.kge.scoring.base.RelationOperator` class for every
   family), ``argpartition`` top-k, optional known-positive filtering, and
-  LRU caching — with the naive ``KGEModel.predict_*`` path kept as the
+  an LRU result cache — with the naive ``KGEModel.predict_*`` path kept as the
   exact parity oracle;
 * :mod:`repro.serving.service` — ``QueryRequest``/``QueryResponse``, TSV
   batch mode, the :class:`EngineReloader` recipe every served model is
@@ -31,7 +31,6 @@ from repro.serving.artifact import (
 )
 from repro.serving.engine import (
     FILTER_INDEX_DIRNAME,
-    HotRelationCache,
     InferenceEngine,
     MicroBatcher,
     known_positive_index,
@@ -62,7 +61,6 @@ __all__ = [
     "ModelArtifact",
     "export_artifact",
     "load_artifact",
-    "HotRelationCache",
     "InferenceEngine",
     "MicroBatcher",
     "known_positive_index",

@@ -22,11 +22,10 @@ bulk:
 * known positives can be **filtered** through the same CSR-style
   :class:`~repro.datasets.knowledge_graph.FilterIndex` that filtered
   evaluation uses, so served predictions are unseen triples;
-* finished (entity, relation) answers live in a bounded **LRU cache**, and
-  relation operators live in a :class:`HotRelationCache` — size-bounded
-  with *frequency-gated admission*: a relation's operator is only cached
-  once the relation has proven hot, so one-off scans cannot evict the head
-  of a skewed (Zipfian) relation distribution;
+* finished (direction, entity, relation) answers live in a bounded **LRU
+  cache** — the engine's only cache.  A relation operator precomputes
+  nothing (it holds references to the parameter tables), so it is built
+  afresh for every (relation, direction) segment;
 * concurrent callers (the serving fleet's handler threads) can go through a
   :class:`MicroBatcher`, which group-commits: a caller that finds it idle
   flushes at once, and the callers that arrive while that engine call runs
@@ -37,7 +36,7 @@ bulk:
 
 The engine never writes to its parameter arrays, so it is safe over the
 read-only memmap views a multi-worker fleet shares
-(``load_artifact(mmap=True)``); all mutable state (caches, counters) is
+(``load_artifact(mmap=True)``); all mutable state (result cache, counters) is
 process-local and lock-protected.
 
 The engine's scores are bit-identical to the candidate pass run per
@@ -162,86 +161,6 @@ def load_filter_index(directory: PathLike, mmap: bool = True) -> FilterIndex:
     )
 
 
-class HotRelationCache:
-    """A size-bounded operator cache with frequency-gated admission.
-
-    The plain LRU it replaces admits every materialized operator, so a scan
-    over many cold relations evicts the hot head of a skewed workload.  Here
-    an operator is only *admitted* once its key has been requested
-    ``admission_threshold`` times (the DGL ``frame_cache`` admission idea);
-    until then the operator is built, used, and discarded.  Eviction among
-    admitted entries is LRU.  ``admission_threshold=1`` recovers the old
-    always-admit LRU behavior.
-
-    Not thread-safe by itself — the engine serializes access under its lock.
-    """
-
-    def __init__(self, capacity: int, admission_threshold: int = 2) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if admission_threshold < 1:
-            raise ValueError("admission_threshold must be at least 1")
-        self.capacity = int(capacity)
-        self.admission_threshold = int(admission_threshold)
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
-        self._counts: Dict[tuple, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.admissions = 0
-        self.rejections = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple):
-        """The cached value, bumping recency; ``None`` on a miss."""
-        value = self._entries.get(key)
-        if value is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-        else:
-            self.misses += 1
-        return value
-
-    def offer(self, key: tuple, value: object) -> bool:
-        """Offer a freshly built value; admit it once the key is hot enough."""
-        count = self._counts.get(key, 0) + 1
-        self._counts[key] = count
-        self._age_counts()
-        if count < self.admission_threshold:
-            self.rejections += 1
-            return False
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        self.admissions += 1
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return True
-
-    def _age_counts(self) -> None:
-        # Bound the frequency sketch: when it outgrows the cache by far,
-        # halve every count (dropping zeros) so stale one-hit wonders decay
-        # instead of accumulating forever.
-        if len(self._counts) > max(64, 8 * self.capacity):
-            self._counts = {
-                key: count // 2 for key, count in self._counts.items() if count >= 2
-            }
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "capacity": self.capacity,
-            "admission_threshold": self.admission_threshold,
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "admissions": self.admissions,
-            "rejections": self.rejections,
-            "evictions": self.evictions,
-        }
-
-
 class InferenceEngine:
     """Batched, relation-grouped link-prediction inference.
 
@@ -263,24 +182,17 @@ class InferenceEngine:
         while scoring; chunking bounds that transient at ``batch_size x
         entity_chunk_size x dimension`` — the serving-side analogue of the
         training engine's ``score_chunk_size``.
-    operator_cache_size / result_cache_size:
-        Capacities of the hot-relation operator cache and of the LRU of
-        finished (direction, entity, relation, top_k, filtered) answers.
-    operator_admission_threshold:
-        How many times a (relation, direction) pair must be requested before
-        its operator is admitted to the cache (see
-        :class:`HotRelationCache`); ``1`` recovers the old always-admit LRU.
-    recorder:
-        Optional :class:`TimingRecorder`; the engine attributes time to the
-        ``project`` / ``score`` / ``select`` phases and counts queries and
-        cache hits, which the serve endpoint reports.
+    result_cache_size:
+        Capacity of the LRU of finished (direction, entity, relation, top_k,
+        filtered) answers; ``0`` disables it.
     registry:
         Metrics registry for the serving counters and batch-size histogram
         (``repro_serving_*``); defaults to the process-global registry — a
-        no-op ``NullRegistry`` unless the serve path enabled one.  When
-        ``recorder`` is not given, the default :class:`TimingRecorder` is
-        built on this same registry, so the ``project``/``score``/``select``
-        phases show up as ``repro_phase_seconds`` series on ``/metrics``.
+        no-op ``NullRegistry`` unless the serve path enabled one.  The
+        engine's :class:`TimingRecorder` (``self.recorder``), which times
+        the ``project`` / ``score`` / ``select`` phases reported by
+        ``/stats``, is built on this same registry, so those phases show up
+        as ``repro_phase_seconds`` series on ``/metrics``.
     """
 
     def __init__(
@@ -290,18 +202,13 @@ class InferenceEngine:
         filter_index: Optional[FilterIndex] = None,
         batch_size: int = 256,
         entity_chunk_size: int = 0,
-        operator_cache_size: int = 256,
         result_cache_size: int = 4096,
-        operator_admission_threshold: int = 2,
-        recorder: Optional[TimingRecorder] = None,
         registry: Optional[AnyRegistry] = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if entity_chunk_size < 0:
             raise ValueError("entity_chunk_size must be non-negative (0 disables chunking)")
-        if operator_cache_size <= 0:
-            raise ValueError("operator_cache_size must be positive")
         if result_cache_size < 0:
             raise ValueError("result_cache_size must be non-negative")
         self.scoring_function = scoring_function
@@ -312,23 +219,18 @@ class InferenceEngine:
         self.num_entities = int(params["entities"].shape[0])
         self.num_relations = int(params["relations"].shape[0])
         self.registry = registry if registry is not None else get_registry()
-        # The default recorder shares this engine's registry, so per-phase
+        # The recorder shares this engine's registry, so per-phase
         # repro_phase_seconds series land on the same /metrics exposition.
-        self.recorder = (
-            recorder if recorder is not None else TimingRecorder(registry=self.registry)
-        )
+        self.recorder = TimingRecorder(registry=self.registry)
         self._result_cache_size = int(result_cache_size)
-        self._operators = HotRelationCache(
-            capacity=int(operator_cache_size),
-            admission_threshold=int(operator_admission_threshold),
-        )
         self._results: "OrderedDict[tuple, Tuple[Prediction, ...]]" = OrderedDict()
-        # The caches are mutated on every query; one lock makes the engine
+        # The result cache is mutated on every query; one lock makes the engine
         # safe under the threading HTTP server (batching, not concurrency,
         # is the throughput mechanism here).
         self._lock = threading.Lock()
         self.queries_served = 0
         self.cache_hits = 0
+        self.operators_built = 0
         self._m_queries = self.registry.counter(
             "repro_serving_queries_total", help="Link-prediction queries answered."
         )
@@ -341,17 +243,6 @@ class InferenceEngine:
             help="Queries per engine batch call.",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
         )
-        # Hot-relation operator-cache telemetry.  The cache keeps plain int
-        # counters (it predates the registry); the engine mirrors them onto
-        # /metrics by syncing deltas after each batch.
-        self._m_hot_cache = {
-            name: self.registry.counter(
-                f"repro_serving_hot_cache_{name}_total",
-                help=f"Hot relation-operator cache {name}.",
-            )
-            for name in ("hits", "misses", "admissions", "rejections", "evictions")
-        }
-        self._hot_cache_seen = {name: 0 for name in self._m_hot_cache}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -364,18 +255,8 @@ class InferenceEngine:
         return cls(artifact.scoring_function, artifact.params, **kwargs)
 
     # ------------------------------------------------------------------
-    # Caches
+    # Result cache
     # ------------------------------------------------------------------
-    def _operator(self, relation: int, direction: str):
-        key = (int(relation), direction)
-        operator = self._operators.get(key)
-        if operator is None:
-            operator = self.scoring_function.relation_operator(
-                self.params, relation, direction
-            )
-            self._operators.offer(key, operator)
-        return operator
-
     def _cached_result(self, key: tuple) -> Optional[Tuple[Prediction, ...]]:
         result = self._results.get(key)
         if result is not None:
@@ -496,7 +377,10 @@ class InferenceEngine:
                     [entity for _d, entity, _r in slab[segment_begin:segment_end]],
                     dtype=np.int64,
                 )
-                operator = self._operator(relation, direction)
+                operator = self.scoring_function.relation_operator(
+                    self.params, relation, direction
+                )
+                self.operators_built += 1
                 with self.recorder.measure("project"):
                     projection = operator.project(entities)
                 with self.recorder.measure("score"):
@@ -523,17 +407,7 @@ class InferenceEngine:
                     for position in pending[query]:
                         results[position] = answer
 
-        self._sync_hot_cache_metrics()
         return [list(result) for result in results]
-
-    def _sync_hot_cache_metrics(self) -> None:
-        """Mirror HotRelationCache counter deltas onto the registry."""
-        for name, counter in self._m_hot_cache.items():
-            current = int(getattr(self._operators, name))
-            delta = current - self._hot_cache_seen[name]
-            if delta:
-                counter.inc(delta)
-                self._hot_cache_seen[name] = current
 
     # ------------------------------------------------------------------
     # Introspection
@@ -541,7 +415,7 @@ class InferenceEngine:
     def stats(self) -> Dict[str, object]:
         """Counters + per-phase timings for the serve endpoint's /stats.
 
-        Takes the engine lock: the caches and the recorder are mutated by
+        Takes the engine lock: the result cache and the recorder are mutated by
         concurrent query threads, and iterating them mid-query would race.
         """
         with self._lock:
@@ -554,9 +428,10 @@ class InferenceEngine:
             "num_relations": self.num_relations,
             "queries_served": self.queries_served,
             "cache_hits": self.cache_hits,
-            "cached_operators": len(self._operators),
             "cached_results": len(self._results),
-            "operator_cache": self._operators.stats(),
+            # There is no operator cache: every segment builds its operator,
+            # so this always reads zero hits (kept for /stats consumers).
+            "operator_cache": {"hits": 0, "misses": self.operators_built},
             "params_bytes": int(
                 sum(array.nbytes for array in self.params.values())
             ),
@@ -604,10 +479,9 @@ class MicroBatcher:
 
     Exposes the same ``query_batch(queries, top_k, filtered)`` signature as
     the engine, so :func:`repro.serving.service.answer_queries` works with
-    either.  ``window_s`` is only an upper bound on the extra waiting a
-    caller may be charged, and group commit adds none: a lone caller goes
-    straight through, and a queued one waits only for the engine call it
-    would have queued behind on the engine's lock anyway.  A combined call
+    either.  Group commit adds no waiting: a lone caller goes straight
+    through, and a queued one waits only for the engine call it would have
+    queued behind on the engine's lock anyway.  A combined call
     that fails is retried per caller, so one request with an out-of-range
     entity cannot poison the answers of the calls it was coalesced with.
     """
@@ -615,11 +489,8 @@ class MicroBatcher:
     #: Safety net for followers; a leader never takes remotely this long.
     _WAIT_TIMEOUT_S = 120.0
 
-    def __init__(self, engine: InferenceEngine, window_s: float = 0.002) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be non-negative")
+    def __init__(self, engine: InferenceEngine) -> None:
         self.engine = engine
-        self.window_s = float(window_s)
         self._lock = threading.Lock()
         self._pending: List[_PendingCall] = []
         self._leader_active = False
@@ -719,7 +590,6 @@ class MicroBatcher:
         with self._lock:
             mean = (self.calls / self.batches) if self.batches else 0.0
             return {
-                "window_ms": self.window_s * 1000.0,
                 "calls": self.calls,
                 "batches": self.batches,
                 "coalesced_calls": self.coalesced_calls,

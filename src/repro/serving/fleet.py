@@ -79,8 +79,8 @@ def validate_serve_options(
         raise ConfigError(f"--workers must be in 1..{MAX_WORKERS}, got {workers}")
     if micro_batch_window_ms < 0:
         raise ConfigError(
-            f"--micro-batch-window must be non-negative milliseconds "
-            f"(0 disables coalescing), got {micro_batch_window_ms}"
+            f"--micro-batch-window must be non-negative (0 mounts no batcher, "
+            f"any positive value mounts one), got {micro_batch_window_ms}"
         )
 
 
@@ -105,7 +105,7 @@ class ServingFleet:
         workers: int = 1,
         quiet: bool = True,
     ) -> None:
-        validate_serve_options(port, workers, reloader.micro_batch_window_s * 1000.0)
+        validate_serve_options(port, workers)
         if not hasattr(os, "fork"):  # pragma: no cover - Windows guard
             raise ConfigError("--workers needs os.fork(); this platform has none")
         self.reloader = reloader

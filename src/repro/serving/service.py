@@ -66,6 +66,12 @@ QUERY_PLACEHOLDER = "?"
 #: batch of tens of thousands of queries fits.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Most queries one ``/query`` request may carry (413 above it).  A body
+#: under ``MAX_BODY_BYTES`` could otherwise hold ~10^5 full-vocabulary
+#: queries and keep the engine lock for seconds; clients split larger
+#: batches across requests.
+MAX_QUERIES_PER_REQUEST = 1024
+
 #: Seconds a connection may sit in one socket read or write before the
 #: handler drops it, so a client that sends half a request cannot hold a
 #: handler thread forever.
@@ -305,11 +311,11 @@ class EngineReloader:
 
     ``build()`` loads the artifact, its saved known-positive index
     (``<dir>/filter_index``, when present) and a fresh
-    :class:`InferenceEngine` plus, with a positive window, a
-    :class:`MicroBatcher`.  A :class:`QueryServer` mounts the first stack
-    at start-up and builds every later one off to the side of the serving
-    stack; the swap itself is :meth:`QueryServer.reload` — a single
-    pointer flip, so in-flight queries finish on the old generation and
+    :class:`InferenceEngine` plus, with ``micro_batch``, a group-commit
+    :class:`MicroBatcher` in front of it.  A :class:`QueryServer` mounts the
+    first stack at start-up and builds every later one off to the side of
+    the serving stack; the swap itself is :meth:`QueryServer.reload` — a
+    single pointer flip, so in-flight queries finish on the old generation and
     nothing is ever answered by a half-built engine.  A single server loads
     in memory (``mmap=False``); fleet workers load with ``mmap=True``.
     """
@@ -318,9 +324,8 @@ class EngineReloader:
     mmap: bool = False
     batch_size: int = 256
     entity_chunk_size: int = 0
-    operator_cache_size: int = 256
     result_cache_size: int = 4096
-    micro_batch_window_s: float = 0.0
+    micro_batch: bool = False
     registry: Optional[AnyRegistry] = None
 
     def build(
@@ -342,15 +347,10 @@ class EngineReloader:
             filter_index=filter_index,
             batch_size=self.batch_size,
             entity_chunk_size=self.entity_chunk_size,
-            operator_cache_size=self.operator_cache_size,
             result_cache_size=self.result_cache_size,
             registry=self.registry,
         )
-        batcher = (
-            MicroBatcher(engine, window_s=self.micro_batch_window_s)
-            if self.micro_batch_window_s > 0
-            else None
-        )
+        batcher = MicroBatcher(engine) if self.micro_batch else None
         self.artifact_dir = target
         return artifact, engine, batcher
 
@@ -717,6 +717,13 @@ class QueryHandler(BaseHTTPRequestHandler):
                 raw_queries = payload["queries"]
                 if not isinstance(raw_queries, list):
                     raise ValueError('"queries" must be a list of query objects')
+                if len(raw_queries) > MAX_QUERIES_PER_REQUEST:
+                    self._send_error_json(
+                        413,
+                        f"request carries {len(raw_queries)} queries; the limit is "
+                        f"{MAX_QUERIES_PER_REQUEST} queries per request",
+                    )
+                    return
                 requests = [QueryRequest.from_dict(entry, artifact) for entry in raw_queries]
                 batched = True
             else:

@@ -8,7 +8,7 @@ imports.
 from repro.utils.config import PredictorConfig, TrainingConfig
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.serialization import from_json_file, to_json_file
-from repro.utils.timing import Stopwatch, TimingRecorder
+from repro.utils.timing import TimingRecorder
 
 __all__ = [
     "PredictorConfig",
@@ -17,6 +17,5 @@ __all__ = [
     "spawn_rngs",
     "from_json_file",
     "to_json_file",
-    "Stopwatch",
     "TimingRecorder",
 ]

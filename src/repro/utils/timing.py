@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs import metrics as _metrics
@@ -25,37 +24,6 @@ from repro.obs import trace as _trace
 #: One histogram family shared by every recorder: the phase is a label,
 #: so ``/metrics`` exposes e.g. ``repro_phase_seconds_bucket{phase="score"}``.
 PHASE_HISTOGRAM = "repro_phase_seconds"
-
-
-@dataclass
-class Stopwatch:
-    """A simple resettable stopwatch.
-
-    >>> watch = Stopwatch()
-    >>> watch.start()
-    >>> _ = watch.stop()  # elapsed seconds
-    """
-
-    _started_at: float = field(default=0.0, repr=False)
-    _running: bool = field(default=False, repr=False)
-    elapsed: float = 0.0
-
-    def start(self) -> None:
-        if self._running:
-            raise RuntimeError("stopwatch already running")
-        self._started_at = time.perf_counter()
-        self._running = True
-
-    def stop(self) -> float:
-        if not self._running:
-            raise RuntimeError("stopwatch is not running")
-        self.elapsed += time.perf_counter() - self._started_at
-        self._running = False
-        return self.elapsed
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._running = False
 
 
 class _Phase:
@@ -128,18 +96,6 @@ class TimingRecorder:
         seconds = float(seconds)
         self._accumulate(name, 1, seconds, seconds)
         self._observe(name, seconds)
-
-    def merge(self, other: "TimingRecorder") -> None:
-        """Fold another recorder's phases into this one (phase-wise).
-
-        Used to combine per-process phase timings — e.g. recorders
-        rebuilt from worker outcomes — into one Table VII attribution.
-        Counts and totals add up and ``other``'s last sample becomes the
-        last one here; ``other`` already observed its samples into its
-        own registry, so nothing is re-observed.
-        """
-        for name, phase in other._phases.items():
-            self._accumulate(name, phase.count, phase.total, phase.last)
 
     def last(self, name: str) -> float:
         """The most recent sample recorded under ``name``.

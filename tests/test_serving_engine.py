@@ -16,7 +16,6 @@ from repro.kge.topk import (
 )
 from repro.core.search_space import random_structure
 from repro.serving import (
-    HotRelationCache,
     InferenceEngine,
     MicroBatcher,
     export_artifact,
@@ -294,13 +293,6 @@ class TestCachingAndValidation:
         assert len(five) == 5 and len(ten) == 10
         assert ten[:5] == five
 
-    def test_operator_cache_bounded(self, family_models, tiny_graph):
-        model = family_models["complex"]
-        engine = InferenceEngine(model.scoring_function, model.params, operator_cache_size=2)
-        for relation in range(tiny_graph.num_relations):
-            engine.query_batch([("tail", 0, relation)])
-        assert len(engine._operators) <= 2
-
     def test_stats_counters(self, family_models):
         model = family_models["complex"]
         engine = InferenceEngine(model.scoring_function, model.params)
@@ -309,6 +301,9 @@ class TestCachingAndValidation:
         assert stats["queries_served"] == 2
         assert stats["scoring_function"] == model.scoring_function.name
         assert "score" in stats["timings"]
+        # No operator cache: one operator is built per (relation, direction)
+        # segment, and /stats reports each build as a miss.
+        assert stats["operator_cache"] == {"hits": 0, "misses": 2}
 
     def test_out_of_range_rejected(self, family_models):
         model = family_models["complex"]
@@ -319,91 +314,6 @@ class TestCachingAndValidation:
             engine.query_batch([("tail", 0, 10**6)])
         with pytest.raises(ValueError, match="direction"):
             engine.query_batch([("sideways", 0, 0)])
-
-
-class TestHotRelationCache:
-    """Size-bounded operator cache with frequency-gated admission."""
-
-    def test_admission_gated_by_frequency(self):
-        cache = HotRelationCache(capacity=4, admission_threshold=2)
-        assert cache.offer("a", 1) is False  # first sighting: counted, rejected
-        assert cache.get("a") is None
-        assert cache.offer("a", 1) is True  # second sighting crosses the gate
-        assert cache.get("a") == 1
-
-    def test_threshold_one_admits_immediately(self):
-        cache = HotRelationCache(capacity=2, admission_threshold=1)
-        assert cache.offer("a", 1) is True
-        assert cache.get("a") == 1
-
-    def test_capacity_bounded_lru_eviction(self):
-        cache = HotRelationCache(capacity=2, admission_threshold=1)
-        for key in ("a", "b", "c"):
-            cache.offer(key, key.upper())
-        assert len(cache) == 2
-        assert cache.get("a") is None  # least recently used, evicted
-        assert cache.get("b") == "B" and cache.get("c") == "C"
-        assert cache.stats()["evictions"] == 1
-
-    def test_get_refreshes_recency(self):
-        cache = HotRelationCache(capacity=2, admission_threshold=1)
-        cache.offer("a", 1)
-        cache.offer("b", 2)
-        cache.get("a")  # now "b" is the LRU entry
-        cache.offer("c", 3)
-        assert cache.get("a") == 1 and cache.get("b") is None
-
-    def test_stats_counters(self):
-        cache = HotRelationCache(capacity=4, admission_threshold=2)
-        cache.get("a")  # miss
-        cache.offer("a", 1)  # rejection
-        cache.offer("a", 1)  # admission
-        cache.get("a")  # hit
-        stats = cache.stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-        assert stats["rejections"] == 1 and stats["admissions"] == 1
-        assert stats["size"] == 1 and stats["capacity"] == 4
-
-    def test_count_aging_keeps_sketch_bounded(self):
-        cache = HotRelationCache(capacity=2, admission_threshold=2)
-        for index in range(10_000):
-            cache.offer(index, index)
-        # The frequency sketch must not grow linearly with distinct keys.
-        assert len(cache._counts) <= max(64, 8 * 2) + 1
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            HotRelationCache(capacity=0)
-        with pytest.raises(ValueError, match="admission_threshold"):
-            HotRelationCache(capacity=2, admission_threshold=0)
-
-    def test_engine_admits_operator_on_second_use(self, family_models):
-        model = family_models["complex"]
-        engine = InferenceEngine(
-            model.scoring_function, model.params,
-            result_cache_size=0, operator_admission_threshold=2,
-        )
-        engine.query_batch([("tail", 0, 0)])
-        assert engine.stats()["operator_cache"]["size"] == 0  # cold: rejected
-        engine.query_batch([("tail", 1, 0)])
-        assert engine.stats()["operator_cache"]["size"] == 1  # hot: admitted
-        engine.query_batch([("tail", 2, 0)])
-        assert engine.stats()["operator_cache"]["hits"] == 1
-
-    def test_admission_gate_does_not_change_answers(self, family_models, query_workload):
-        model = family_models["searched"]
-        gated = InferenceEngine(
-            model.scoring_function, model.params, operator_admission_threshold=3
-        )
-        eager = InferenceEngine(
-            model.scoring_function, model.params, operator_admission_threshold=1
-        )
-        for _ in range(2):  # second pass exercises cached operators
-            for answer, expected in zip(
-                gated.query_batch(query_workload, top_k=7),
-                eager.query_batch(query_workload, top_k=7),
-            ):
-                assert answer == expected
 
 
 @pytest.fixture(scope="module")
@@ -454,28 +364,6 @@ class TestSharedMemmapConcurrency:
         assert stats["params_memmap"] is True
         assert stats["queries_served"] == 4 * len(distinct)
 
-    def test_concurrent_eviction_churn_stays_bounded(self, memmap_engine_setup, tiny_graph):
-        artifact, _ = memmap_engine_setup
-        engine = InferenceEngine.from_artifact(
-            artifact, operator_cache_size=2, operator_admission_threshold=1,
-            result_cache_size=0,
-        )
-
-        def worker(direction):
-            for _ in range(3):
-                for relation in range(tiny_graph.num_relations):
-                    engine.query_batch([(direction, 0, relation)], top_k=3)
-
-        threads = [threading.Thread(target=worker, args=(d,)) for d in ("tail", "head")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        stats = engine.stats()["operator_cache"]
-        assert stats["size"] <= 2
-        assert stats["evictions"] > 0
-        assert stats["admissions"] == stats["evictions"] + stats["size"]
-
     def test_memmap_params_stay_readonly_through_engine(self, memmap_engine_setup):
         artifact, _ = memmap_engine_setup
         engine = InferenceEngine.from_artifact(artifact)
@@ -519,32 +407,20 @@ def _ids(answers):
 
 
 class TestMicroBatcher:
-    def test_zero_window_is_passthrough(self, family_models, query_workload):
-        model = family_models["complex"]
-        engine = InferenceEngine(model.scoring_function, model.params)
-        batcher = MicroBatcher(engine, window_s=0)
-        assert batcher.query_batch(query_workload, top_k=5) == engine.query_batch(
-            query_workload, top_k=5
-        )
-
-    def test_negative_window_rejected(self, family_models):
-        model = family_models["complex"]
-        engine = InferenceEngine(model.scoring_function, model.params)
-        with pytest.raises(ValueError, match="window_s"):
-            MicroBatcher(engine, window_s=-0.001)
-
     def test_single_caller_gets_exact_results(self, family_models, query_workload):
         model = family_models["complex"]
         engine = InferenceEngine(model.scoring_function, model.params)
         reference = InferenceEngine(model.scoring_function, model.params)
-        batcher = MicroBatcher(engine, window_s=0.001)
+        batcher = MicroBatcher(engine)
         assert batcher.query_batch(query_workload, top_k=5) == reference.query_batch(
             query_workload, top_k=5
         )
 
     def test_lone_caller_does_not_wait_out_the_window(self, family_models, query_workload):
+        # Whatever ``serve --micro-batch-window`` says, a lone caller leads
+        # and flushes at once: no timer, and no waiting for followers.
         model = family_models["complex"]
-        batcher = MicroBatcher(InferenceEngine(model.scoring_function, model.params), window_s=0.5)
+        batcher = MicroBatcher(InferenceEngine(model.scoring_function, model.params))
         started = time.perf_counter()
         batcher.query_batch(query_workload[:4], top_k=5)
         assert time.perf_counter() - started < 0.25
@@ -556,7 +432,7 @@ class TestMicroBatcher:
             InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
         )
         reference = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
-        batcher = MicroBatcher(gated, window_s=0.05)
+        batcher = MicroBatcher(gated)
         chunks = [query_workload[i::4] for i in range(4)]
         # Bit-exact against the one combined call the queued callers share.
         combined = reference.query_batch([q for chunk in chunks for q in chunk], top_k=5)
@@ -590,7 +466,7 @@ class TestMicroBatcher:
         model = family_models["complex"]
         engine = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
         reference = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
-        batcher = MicroBatcher(engine, window_s=0.002)
+        batcher = MicroBatcher(engine)
         chunks = [query_workload[i : i + 3] for i in range(len(query_workload) - 2)]
         expected = [_ids(reference.query_batch(chunk, top_k=5)) for chunk in chunks]
         threads_n, calls_n = 8, 50
@@ -621,7 +497,7 @@ class TestMicroBatcher:
             InferenceEngine(model.scoring_function, model.params), fail_first=True
         )
         reference = InferenceEngine(model.scoring_function, model.params)
-        batcher = MicroBatcher(gated, window_s=0.05)
+        batcher = MicroBatcher(gated)
         outcome = {}
 
         def leader():
@@ -657,7 +533,7 @@ class TestMicroBatcher:
     def test_error_isolated_to_offending_caller(self, family_models, query_workload):
         model = family_models["complex"]
         engine = InferenceEngine(model.scoring_function, model.params)
-        batcher = MicroBatcher(engine, window_s=0.05)
+        batcher = MicroBatcher(engine)
         reference = InferenceEngine(model.scoring_function, model.params)
         good_chunk = query_workload[:6]
         expected = reference.query_batch(good_chunk, top_k=5)
@@ -687,7 +563,7 @@ class TestMicroBatcher:
     def test_mixed_top_k_grouped_correctly(self, family_models, query_workload):
         model = family_models["complex"]
         engine = InferenceEngine(model.scoring_function, model.params)
-        batcher = MicroBatcher(engine, window_s=0.05)
+        batcher = MicroBatcher(engine)
         results = {}
         barrier = threading.Barrier(2)
 

@@ -147,7 +147,7 @@ def mixed_queries(tiny_graph):
 class TestServingFleet:
     def test_two_worker_fleet_parity_and_drain(self, fleet_artifact, mixed_queries):
         fleet = ServingFleet(
-            EngineReloader(fleet_artifact, micro_batch_window_s=0.001),
+            EngineReloader(fleet_artifact, micro_batch=True),
             host=HOST,
             port=0,
             workers=2,

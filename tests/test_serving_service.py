@@ -1,10 +1,13 @@
 """Tests for the query service: schema, TSV batch mode, HTTP smoke test."""
 
+import importlib
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +32,10 @@ from repro.serving import (
     parse_query_line,
     read_query_file,
 )
+from repro.serving.service import MAX_QUERIES_PER_REQUEST
 from repro.utils.config import TrainingConfig
+
+E2E_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +327,24 @@ class TestHTTPService:
         status_line = self._raw_post(server, str(MAX_BODY_BYTES + 1))
         assert status_line.split()[1] == b"413", status_line
 
+    def test_query_count_capped_per_request(self, server, artifact):
+        query = {"direction": "tail", "entity": 0, "relation": 0, "top_k": 1}
+        at_limit = {"queries": [query] * MAX_QUERIES_PER_REQUEST}
+        status, payload = self._post(server, "/query", at_limit)
+        assert status == 200 and len(payload["responses"]) == MAX_QUERIES_PER_REQUEST
+        _, before = self._get(server, "/stats")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(server, "/query", {"queries": [query] * (MAX_QUERIES_PER_REQUEST + 1)})
+        assert excinfo.value.code == 413
+        message = json.loads(excinfo.value.read())["error"]
+        assert str(MAX_QUERIES_PER_REQUEST) in message
+        _, after = self._get(server, "/stats")
+        # Rejected before parsing: the engine answered nothing.
+        assert after["queries_served"] == before["queries_served"]
+        assert after["http_errors"] == before["http_errors"] + 1
+        # The server still answers the next request.
+        assert self._post(server, "/query", query)[0] == 200
+
     def test_uptime_is_monotonic_and_non_negative(self, server):
         _, first = self._get(server, "/stats")
         _, second = self._get(server, "/stats")
@@ -362,12 +386,12 @@ class TestHTTPService:
         ]
         assert got == [list(answer) for answer in expected]
 
-    @pytest.mark.parametrize("window_s", [0.0, 0.05])
-    def test_engine_failure_returns_500(self, artifact, monkeypatch, window_s):
+    @pytest.mark.parametrize("micro_batch", [False, True])
+    def test_engine_failure_returns_500(self, artifact, monkeypatch, micro_batch):
         """An unexpected error while answering used to drop the connection."""
         registry = MetricsRegistry()
         server, thread = running_server(
-            EngineReloader(artifact.path, micro_batch_window_s=window_s, registry=registry),
+            EngineReloader(artifact.path, micro_batch=micro_batch, registry=registry),
             registry=registry,
         )
         try:
@@ -386,6 +410,49 @@ class TestHTTPService:
             assert errors[("repro_http_errors_total", (("worker_id", "0"),))] == 1.0
             # Nothing is wedged: the next query is answered.
             assert self._post(server, "/query", query)[0] == 200
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+
+
+@pytest.fixture(scope="module")
+def stats_delta():
+    """The e2e bench's ``/stats`` reader, imported from its own directory."""
+    sys.path.insert(0, str(E2E_DIR))
+    try:
+        return importlib.import_module("workloads").stats_delta
+    finally:
+        sys.path.remove(str(E2E_DIR))
+
+
+class TestStatsContract:
+    """``/stats`` keeps every key the end-to-end bench reads."""
+
+    QUERIES = [("tail", 0, 0), ("head", 1, 0), ("tail", 2, 1), ("head", 3, 1), ("tail", 4, 2)]
+
+    def _send(self, server):
+        # One lone query and one batch, so both request shapes pass the batcher.
+        first, *rest = [
+            {"direction": d, "entity": e, "relation": r, "top_k": 3} for d, e, r in self.QUERIES
+        ]
+        assert TestHTTPService._post(server, "/query", first)[0] == 200
+        assert TestHTTPService._post(server, "/query", {"queries": rest})[0] == 200
+
+    def test_stats_delta_reads_a_real_server(self, artifact, stats_delta):
+        server, thread = running_server(EngineReloader(artifact.path, micro_batch=True))
+        try:
+            for reload in (False, True):
+                _, before = TestHTTPService._get(server, "/stats")
+                if reload:
+                    assert TestHTTPService._post(server, "/reload", {})[0] == 200
+                self._send(server)
+                _, after = TestHTTPService._get(server, "/stats")
+                assert after["reloads"] == before["reloads"] + reload
+                delta = stats_delta(before, after)
+                assert delta["queries"] == len(self.QUERIES)
+                assert delta["calls_per_batch"] >= 1
+                # There is no operator cache, so nothing is ever a hit.
+                assert delta["operator_hit_ratio"] == 0.0
         finally:
             server.shutdown()
             thread.join(timeout=5)

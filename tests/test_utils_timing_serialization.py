@@ -8,41 +8,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.utils.serialization import from_json_file, to_json_file, to_json_string
-from repro.utils.timing import Stopwatch, TimingRecorder
-
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.009
-
-    def test_double_start_raises(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_accumulates_across_runs(self):
-        watch = Stopwatch()
-        for _ in range(2):
-            watch.start()
-            time.sleep(0.005)
-            watch.stop()
-        assert watch.elapsed >= 0.009
-
-    def test_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
+from repro.utils.timing import TimingRecorder
 
 
 class TestTimingRecorder:
@@ -92,19 +58,6 @@ class TestTimingRecorder:
         count = recorder.summary()["a"]["count"]
         assert count == 2
         assert isinstance(count, int)
-
-    def test_merge_combines_samples(self):
-        left = TimingRecorder()
-        left.add("train", 1.0)
-        right = TimingRecorder()
-        right.add("train", 3.0)
-        right.add("evaluate", 0.5)
-        left.merge(right)
-        assert left.count("train") == 2
-        assert left.total("train") == pytest.approx(4.0)
-        assert left.count("evaluate") == 1
-        # The source recorder is untouched.
-        assert right.count("train") == 1
 
     def test_memory_stays_constant_over_many_samples(self):
         """A long-lived recorder (one per serving engine) must not grow per sample."""
