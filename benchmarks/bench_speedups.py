@@ -11,7 +11,11 @@ timed against the slower path it replaced:
   ``ReferenceTrainEngine``, with the tracemalloc peaks chunking bounds;
 * serving telemetry: engine throughput with ``MetricsRegistry`` vs
   ``NullRegistry`` (at most 5% slower);
-* fleet scaling: QPS at 4 workers vs 1, on a machine with at least 4 cores.
+* fleet scaling: QPS at 4 workers vs 1, on a machine with at least 4 cores;
+* parallel search: the e2e greedy-search recipe on ``--backend process`` with
+  2 workers vs serial, on a machine with at least 2 cores and one BLAS
+  thread per process, with both sides' peak RSS and a bit-parity check of
+  their any-time curves.
 
 Run it from the repository root; it takes no flags::
 
@@ -19,7 +23,8 @@ Run it from the repository root; it takes no flags::
 
 It writes ``BENCH_speedups.json`` at the repository root: the revision, the
 environment (cores, Python, numpy and its BLAS, and the BLAS/OpenMP thread
-variables, recorded but never obeyed) and one ``{value, floor, verdict}``
+variables, recorded but obeyed only by the search claim, which sets them to 1
+for its own runs) and one ``{value, floor, verdict}``
 record per claim, with the timings behind it.  Every value is a ratio where
 higher is better.  A verdict is ``pass``, ``fail`` or ``unmeasured
 (<premise>)`` when the machine cannot meet the claim's premise.  The exit
@@ -32,13 +37,14 @@ import json
 import multiprocessing
 import os
 import platform
+import resource
 import shutil
 import signal
 import subprocess
 import tempfile
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -52,6 +58,7 @@ from repro.datasets import (
     load_benchmark,
     load_tsv_dataset,
 )
+from repro.experiments import BackendSpec, DatasetSpec, ExperimentSpec, SearchLoop, SearchSpec
 from repro.kge.engine import ReferenceTrainEngine
 from repro.kge.evaluation import compute_ranks, compute_ranks_reference
 from repro.kge.model import KGEModel
@@ -68,7 +75,7 @@ from repro.serving import (
     load_artifact,
     wait_until_healthy,
 )
-from repro.utils.config import TrainingConfig
+from repro.utils.config import PredictorConfig, TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_speedups.json"
@@ -298,6 +305,62 @@ def fleet_claim(artifact_dir: Path):
 
 
 # ----------------------------------------------------------------------
+# Parallel search: the e2e search recipe (benchmarks/e2e/workloads.py) on
+# yago310-mini with a smaller budget
+# ----------------------------------------------------------------------
+SEARCH_BUDGET = 12
+SEARCH_TRAINING = dict(dimension=32, epochs=16, batch_size=256, learning_rate=0.5, l2_penalty=1e-4)
+SEARCH_SPACE = dict(max_blocks=10, candidates_per_step=32, top_parents=4, train_per_step=6)
+
+
+def search_run(backend: str) -> dict:
+    """One search on ``backend``: wall seconds, any-time curve, peak RSS of
+    this process and of its largest reaped child (a search worker)."""
+    spec = ExperimentSpec(
+        name="bench-search",
+        seed=0,
+        dataset=DatasetSpec(benchmark="yago310", scale=1.0),
+        training=TrainingConfig(seed=0, **SEARCH_TRAINING),
+        search=SearchSpec(strategy="greedy", budget=SEARCH_BUDGET, **SEARCH_SPACE),
+        predictor=PredictorConfig(epochs=100),
+        backend=BackendSpec(backend=backend, num_workers=2 if backend == "process" else 1),
+    )
+    loop = SearchLoop.from_spec(spec, load_benchmark("yago310", scale=1.0))
+    started = time.perf_counter()
+    result = loop.run(max_evaluations=SEARCH_BUDGET)
+    seconds = time.perf_counter() - started
+    kib = {who: resource.getrusage(who).ru_maxrss
+           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
+    return {"seconds": seconds, "curve": result.anytime_curve(),
+            "peak_rss_mb": kib[resource.RUSAGE_SELF] / 1024,
+            "worker_peak_rss_mb": kib[resource.RUSAGE_CHILDREN] / 1024}
+
+
+def search_claim():
+    if (os.cpu_count() or 1) < 2:
+        return None, 1.3, {"premise": "<2 cores"}
+    # Two workers with a multi-threaded BLAS each oversubscribe two cores:
+    # on 2 vCPUs that made the process search slower than serial.
+    os.environ.update({name: "1" for name in THREAD_VARIABLES})
+    runs = {"serial": [], "process": []}
+    for _ in range(2):  # alternate, so drift hits both sides alike
+        for backend, sides in runs.items():
+            sides.append(in_fresh_process(search_run, backend))
+    curves = {tuple(run.pop("curve")) for sides in runs.values() for run in sides}
+    if len(curves) != 1:
+        raise RuntimeError("process search diverged from serial: any-time curves differ")
+    best = {backend: min(sides, key=lambda run: run["seconds"])
+            for backend, sides in runs.items()}
+    details = {"budget": SEARCH_BUDGET, "workers": 2, "blas_threads": 1, "runs": runs,
+               "serial_s": best["serial"]["seconds"], "process_s": best["process"]["seconds"],
+               "serial_peak_rss_mb": max(run["peak_rss_mb"] for run in runs["serial"]),
+               "process_peak_rss_mb": max(run["peak_rss_mb"] for run in runs["process"]),
+               "process_worker_peak_rss_mb": max(run["worker_peak_rss_mb"]
+                                                 for run in runs["process"])}
+    return best["serial"]["seconds"] / best["process"]["seconds"], 1.3, details
+
+
+# ----------------------------------------------------------------------
 # Report
 # ----------------------------------------------------------------------
 def revision() -> str:
@@ -322,6 +385,13 @@ def environment() -> dict:
     }
 
 
+def in_fresh_process(function, *args):
+    """``function(*args)`` in a new interpreter, which may start worker
+    processes of its own (a ``multiprocessing.Pool`` worker may not)."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(function, *args).result()
+
+
 def record(claim, *args) -> dict:
     """Run one claim in a fresh interpreter and grade it.
 
@@ -329,8 +399,7 @@ def record(claim, *args) -> dict:
     allocator state earlier claims leave behind moves these sub-second
     timings by a third.
     """
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        value, floor, details = pool.apply(claim, args)
+    value, floor, details = in_fresh_process(claim, *args)
     if value is None:
         verdict = f"unmeasured ({details['premise']})"
     else:
@@ -349,6 +418,7 @@ def main() -> int:
         artifact_dir = serving_artifact(work)
         claims["serving.metrics_on_vs_off_throughput"] = record(telemetry_claim, artifact_dir)
         claims["serving.fleet_qps_4_vs_1_workers"] = record(fleet_claim, artifact_dir)
+        claims["search.process_vs_serial"] = record(search_claim)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -820,7 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="worker processes for --backend process (default: 1)",
+        help="local worker processes for --backend process or queue; "
+        "process forks them on a private loopback port (default: 1)",
     )
     search_parser.add_argument(
         "--cache-dir",

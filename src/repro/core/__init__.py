@@ -36,7 +36,6 @@ from repro.core.execution import (
     EvaluationTask,
     ExecutionBackend,
     ExecutionError,
-    ProcessPoolBackend,
     SerialBackend,
     create_backend,
     derive_candidate_seed,
@@ -87,7 +86,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionError",
     "FilterStatistics",
-    "ProcessPoolBackend",
     "QueueBackend",
     "SerialBackend",
     "run_worker",

@@ -9,9 +9,13 @@ order.  Workers may be spawned locally by the backend itself
 ``repro-autosf worker --connect host:port`` CLI entry point — the wire
 protocol is the only coupling.
 
-Wire protocol (trusted-cluster only — frames are pickled, so never expose
-the coordinator port to untrusted peers):
+Wire protocol (frames are pickled, so a fixed ``port`` is for trusted
+clusters only — never expose it to untrusted peers):
 
+* with ``port=0`` (an ephemeral port no external worker can be told), the
+  coordinator draws a per-batch secret and hands it to the workers it
+  starts; a peer's first bytes must be that secret, checked before
+  anything from the connection is unpickled, or the connection is closed;
 * every frame is a 4-byte big-endian length prefix followed by a pickled
   ``dict`` with a ``"type"`` key;
 * handshake: worker sends ``hello``, coordinator replies ``welcome``
@@ -49,9 +53,11 @@ with live threads is not safe.
 
 from __future__ import annotations
 
+import hmac
 import multiprocessing
 import os
 import pickle
+import secrets
 import socket
 import struct
 import threading
@@ -122,6 +128,7 @@ def run_worker(
     host: str,
     port: int,
     *,
+    secret: Optional[bytes] = None,
     _kill_after_tasks: Optional[int] = None,
 ) -> int:
     """Connect to a coordinator, evaluate tasks until shut down.
@@ -129,7 +136,8 @@ def run_worker(
     Returns the number of tasks completed.  Raises ``OSError`` /
     ``ConnectionError`` if the coordinator is unreachable or goes away
     mid-handshake; a clean ``shutdown`` frame (or EOF after the handshake)
-    ends the session normally.
+    ends the session normally.  ``secret`` is the batch secret a port-0
+    coordinator gave the workers it started; it is sent before any frame.
 
     ``_kill_after_tasks`` is a fault-injection hook for tests and the CI
     smoke: after completing that many tasks the worker calls ``os._exit``
@@ -147,6 +155,8 @@ def run_worker(
 
     completed = 0
     try:
+        if secret is not None:
+            sock.sendall(secret)
         send({"type": "hello", "pid": os.getpid(), "host": socket.gethostname()})
         welcome = recv_frame(sock)
         if welcome is None or welcome.get("type") != "welcome":
@@ -228,10 +238,12 @@ def serve_worker(
     return total
 
 
-def _local_worker_main(host: str, port: int, kill_after: Optional[int]) -> None:
+def _local_worker_main(
+    host: str, port: int, secret: Optional[bytes], kill_after: Optional[int]
+) -> None:
     """Entry point for backend-spawned local worker processes."""
     try:
-        run_worker(host, port, _kill_after_tasks=kill_after)
+        run_worker(host, port, secret=secret, _kill_after_tasks=kill_after)
     except (ConnectionError, OSError):  # pragma: no cover - racy shutdown
         pass
 
@@ -267,6 +279,9 @@ class _Coordinator:
         self.context = context
         self.tasks = list(tasks)
         self.on_result = on_result
+        # Only workers this coordinator starts can learn an ephemeral port,
+        # so every legitimate peer of a port-0 batch holds this secret.
+        self._secret = secrets.token_bytes(32) if backend.port == 0 else None
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -277,6 +292,7 @@ class _Coordinator:
         self._failure: Optional[BaseException] = None
         self._done = False
         self._conns: List[_WorkerConn] = []
+        self._socks: List[socket.socket] = []
         self._threads: List[threading.Thread] = []
         self._result_lock = threading.Lock()
         self._last_worker_activity = time.monotonic()
@@ -334,8 +350,7 @@ class _Coordinator:
 
     def _spawn_local_workers(self, initial: bool) -> None:
         if initial:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+            ctx = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
             count = self.backend.num_workers
         else:
             ctx = multiprocessing.get_context("spawn")
@@ -353,7 +368,7 @@ class _Coordinator:
                 self._respawns += 1
             proc = ctx.Process(
                 target=_local_worker_main,
-                args=(connect_host, self.port, kill_after),
+                args=(connect_host, self.port, self._secret, kill_after),
                 daemon=True,
                 name=f"queue-worker-{len(self._procs)}",
             )
@@ -430,10 +445,12 @@ class _Coordinator:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
+        # Every accepted socket, so a handler still waiting for a peer's
+        # secret or hello wakes up too.
         with self._cond:
-            conns = list(self._conns)
-        for conn in conns:
-            _close_socket(conn.sock)
+            socks = list(self._socks)
+        for sock in socks:
+            _close_socket(sock)
         for thread in self._threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()) + 1.0)
 
@@ -444,6 +461,8 @@ class _Coordinator:
                 sock, address = self._listener.accept()
             except OSError:
                 return
+            with self._cond:
+                self._socks.append(sock)
             thread = threading.Thread(
                 target=self._serve_worker,
                 args=(sock, address),
@@ -457,6 +476,12 @@ class _Coordinator:
         conn: Optional[_WorkerConn] = None
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._secret is not None:
+                sock.settimeout(self.backend.heartbeat_timeout)
+                token = _recv_exact(sock, len(self._secret))
+                if token is None or not hmac.compare_digest(token, self._secret):
+                    return
+                sock.settimeout(None)
             hello = recv_frame(sock)
             if hello is None or hello.get("type") != "hello":
                 return
@@ -625,9 +650,9 @@ class QueueBackend:
         entirely on external workers connecting to ``host:port``
         (``repro-autosf worker --connect host:port``).
     host / port:
-        Coordinator bind address.  ``port=0`` picks an ephemeral port
-        (fine for purely local fleets); external workers need a fixed,
-        routable ``host:port``.
+        Coordinator bind address.  ``port=0`` picks an ephemeral port and
+        admits only the local workers that hold the batch secret; external
+        workers need a fixed, routable ``host:port``.
     heartbeat_interval / heartbeat_timeout:
         Workers send a heartbeat every ``heartbeat_interval`` seconds; a
         connection silent for ``heartbeat_timeout`` seconds is declared

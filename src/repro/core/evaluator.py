@@ -125,8 +125,10 @@ class CandidateEvaluator:
         self._cache: Dict[Tuple[int, ...], CandidateEvaluation] = {}
         self._fingerprint: Optional[str] = None
         self.num_trained = 0
-        # Fallback used when a backend loses outcomes (e.g. a killed worker):
-        # the missing tasks are re-run here, in-process, exactly once.
+        # Fallback for a backend that returns ``None`` for a lost task (the
+        # ExecutionBackend contract allows it; the queue backend re-dispatches
+        # lost tasks itself and raises once its retries are spent): the
+        # missing tasks are re-run here, in-process, exactly once.
         self._retry_backend: ExecutionBackend = SerialBackend()
 
     # ------------------------------------------------------------------

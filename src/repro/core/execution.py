@@ -10,11 +10,11 @@ This module isolates *where* those evaluations run from *what* they compute:
   and an :class:`EvaluationTask` (structure + seed) it trains and scores one
   candidate and returns a plain, picklable :class:`EvaluationOutcome`;
 * :class:`SerialBackend` runs tasks in-process, one after the other;
-* :class:`ProcessPoolBackend` fans tasks out over a local worker-process
-  pool;
 * :class:`~repro.core.distributed.QueueBackend` dispatches tasks to worker
-  processes over a socket-RPC work queue, so workers may live on other
-  hosts (see :mod:`repro.core.distributed`).
+  processes over a socket-RPC work queue (see :mod:`repro.core.distributed`).
+  The ``"process"`` backend name is this queue with only the local worker
+  processes it forks itself, on a private loopback port; the ``"queue"``
+  name also lets workers on other hosts connect.
 
 Determinism is preserved across backends by seeding every task *per
 candidate* rather than from shared mutable RNG state: the seed is derived
@@ -23,23 +23,19 @@ from the search seed and the candidate's canonical key with a stable hash
 which backend, worker or batch position executes it.  A parallel search
 therefore produces a ``SearchResult`` bitwise-equal to a serial one.
 
-Fault model: a backend that loses a task (killed worker, dropped
-connection) returns ``None`` in that task's slot instead of hanging or
-raising a bare pool error; :meth:`CandidateEvaluator.evaluate_many` then
-re-dispatches the holes serially and only raises a descriptive
-:class:`ExecutionError` naming the affected candidates when the retry also
-fails.
+Fault model: the queue backend re-dispatches a task whose worker died and
+respawns the worker.  A backend may also return ``None`` in a lost task's
+slot; :meth:`CandidateEvaluator.evaluate_many` then re-runs the holes
+serially and only raises a descriptive :class:`ExecutionError` naming the
+affected candidates when that retry also fails.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.datasets.knowledge_graph import KnowledgeGraph
 from repro.kge.evaluation import EvaluationResult, evaluate_link_prediction
@@ -133,7 +129,7 @@ def evaluate_candidate(context: EvaluationContext, task: EvaluationTask) -> Eval
                 scoring_function, params, context.graph, split=context.validation_split
             ).mrr
 
-    # The span lands in the executing process's own trace file: a fork-pool
+    # The span lands in the executing process's own trace file: a forked
     # worker inherits the parent's TraceRecorder, which re-opens per pid, so
     # the merged timeline shows candidates interleaving across workers.
     with obs_trace.span(
@@ -168,7 +164,7 @@ def evaluate_candidate(context: EvaluationContext, task: EvaluationTask) -> Eval
 
 #: Per-outcome callback: ``(task_index, outcome)``, invoked as soon as each
 #: result is available — in task order for the serial backend, in completion
-#: order for the process pool.  The evaluator uses it to checkpoint finished
+#: order for the queue backend.  The evaluator uses it to checkpoint finished
 #: candidates even when another task in the batch is interrupted.
 ResultCallback = Callable[[int, EvaluationOutcome], None]
 
@@ -214,109 +210,6 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-# Worker-process global, installed once per worker by the pool initializer so
-# the (potentially large) graph is shipped once instead of once per task.
-_WORKER_CONTEXT: Optional[EvaluationContext] = None
-
-
-def _initialize_worker(context: EvaluationContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_worker_task(item: "Tuple[int, EvaluationTask]") -> "Tuple[int, EvaluationOutcome]":
-    if _WORKER_CONTEXT is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker used before initialization")
-    index, task = item
-    return index, evaluate_candidate(_WORKER_CONTEXT, task)
-
-
-class ProcessPoolBackend:
-    """Fan tasks out over a local worker-process pool.
-
-    Results come back in task order, and every task carries its own seed, so
-    the outcome is identical to :class:`SerialBackend` regardless of worker
-    scheduling.  Single-task batches (and ``num_workers=1``) short-circuit to
-    in-process execution to avoid pointless pool start-up.
-
-    A worker that dies mid-batch (segfault, OOM kill, ``os._exit``) breaks
-    the whole pool: the executor raises :class:`BrokenProcessPool` for every
-    task that has not finished.  :meth:`run` absorbs that — outcomes already
-    completed are kept, every lost task's slot stays ``None`` — so the
-    caller's serial-retry path (:meth:`CandidateEvaluator.evaluate_many`)
-    can re-dispatch exactly the lost candidates instead of the batch
-    hanging forever or dying with a context-free pool error.
-    """
-
-    name = "process"
-
-    def __init__(self, num_workers: int = 2, start_method: Optional[str] = None) -> None:
-        if num_workers < 1:
-            raise ValueError(
-                f"ProcessPoolBackend: num_workers must be >= 1, got {num_workers}"
-            )
-        if start_method is not None and start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(f"unsupported start method: {start_method!r}")
-        self.num_workers = num_workers
-        self._start_method = start_method
-
-    def _context(self):
-        if self._start_method is not None:
-            return multiprocessing.get_context(self._start_method)
-        # Prefer fork where available: it shares the parent's memory pages
-        # (the graph arrives for free) and starts in milliseconds.
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
-    def run(
-        self,
-        context: EvaluationContext,
-        tasks: Sequence[EvaluationTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[EvaluationOutcome]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self.num_workers == 1 or len(tasks) == 1:
-            return SerialBackend().run(context, tasks, on_result=on_result)
-        workers = min(self.num_workers, len(tasks))
-        outcomes: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=self._context(),
-            initializer=_initialize_worker,
-            initargs=(context,),
-        )
-        try:
-            futures = {
-                executor.submit(_run_worker_task, (index, task)): index
-                for index, task in enumerate(tasks)
-            }
-            # as_completed so every finished candidate streams back (and can
-            # be checkpointed via on_result) the moment it completes, even
-            # while an earlier, slower task is still running; results are
-            # slotted back into task order via the returned index.
-            for future in as_completed(futures):
-                try:
-                    index, outcome = future.result()
-                except BrokenProcessPool:
-                    # A worker died mid-batch.  Its own task — and any task
-                    # still queued behind it — is lost; results that already
-                    # arrived are kept.  The ``None`` holes tell the caller
-                    # exactly which candidates to re-dispatch serially.
-                    continue
-                outcomes[index] = outcome
-                if on_result is not None:
-                    on_result(index, outcome)
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return outcomes  # type: ignore[return-value]
-
-    def __repr__(self) -> str:  # pragma: no cover - repr formatting
-        return f"ProcessPoolBackend(num_workers={self.num_workers})"
-
-
 #: Backend names accepted by configuration and the CLI.
 BACKEND_NAMES = EXECUTION_BACKENDS
 
@@ -327,10 +220,16 @@ def create_backend(name: str, num_workers: int = 1, **options) -> ExecutionBacke
     ``num_workers`` is validated here — at the configuration seam — so a bad
     value fails with a :class:`~repro.utils.config.ConfigError` naming the
     field instead of surfacing (or being silently clamped away) deep inside
-    a backend constructor.  ``options`` are passed through to the backend
-    (the queue backend accepts ``host`` / ``port`` / ``heartbeat_timeout`` /
-    ``worker_timeout`` / ``max_retries``).
+    a backend constructor.  ``options`` are passed through to the queue
+    backend (``host`` / ``port`` / ``heartbeat_timeout`` / ``worker_timeout``
+    / ``max_retries``).  ``"process"`` is the queue backend with its
+    defaults: local workers on an ephemeral loopback port, which only the
+    workers holding the batch secret may join.
     """
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown execution backend {name!r}; available: {', '.join(BACKEND_NAMES)}"
+        )
     if name == "queue":
         # The queue backend accepts num_workers == 0: rely entirely on
         # externally started ``repro-autosf worker --connect`` processes.
@@ -339,20 +238,17 @@ def create_backend(name: str, num_workers: int = 1, **options) -> ExecutionBacke
                 f"backend.num_workers: must be >= 0 for the queue backend "
                 f"(0 means external workers only), got {num_workers}"
             )
-        from repro.core.distributed import QueueBackend
-
-        return QueueBackend(num_workers=num_workers, **options)
-    if options:
+    elif options:
         raise ConfigError(
             f"backend: options {sorted(options)} are only valid for the "
             f"'queue' backend, not {name!r}"
         )
-    if num_workers < 1:
+    elif num_workers < 1:
         raise ConfigError(
             f"backend.num_workers: must be a positive integer, got {num_workers}"
         )
     if name == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(num_workers=num_workers)
-    raise ValueError(f"unknown execution backend {name!r}; available: {', '.join(BACKEND_NAMES)}")
+    from repro.core.distributed import QueueBackend
+
+    return QueueBackend(num_workers=num_workers, **options)

@@ -59,9 +59,9 @@ from repro.datasets.knowledge_graph import (
 PathLike = Union[str, Path]
 
 #: Current store layout version; bumped on incompatible changes.
-#: v1: base shards only.  v2: optional ``generation`` counter and
-#: ``deltas`` list (append/delete delta shards under ``deltas/``); a v1
-#: manifest loads as ``generation=0`` with no deltas.
+#: v1: base shards only (no longer loaded).  v2: adds the ``generation``
+#: counter and the ``deltas`` list (append/delete delta shards under
+#: ``deltas/``).
 STORE_SCHEMA_VERSION = 2
 
 #: Default triples per shard.  64k rows of int64 ``(h, r, t)`` is ~1.5 MB —
@@ -344,7 +344,14 @@ class TripleStore:
                 f"{manifest_path}: store_schema_version {version} is newer than this "
                 f"release supports ({STORE_SCHEMA_VERSION}); upgrade to load it"
             )
-        for key in ("num_entities", "num_relations", "splits"):
+        if version < STORE_SCHEMA_VERSION:
+            raise DatasetError(
+                f"{manifest_path}: store_schema_version {version} predates live "
+                f"updates and is no longer loaded; re-ingest the store, or add "
+                f'"generation": 0, "deltas": [] to the manifest and set '
+                f"store_schema_version to {STORE_SCHEMA_VERSION}"
+            )
+        for key in ("num_entities", "num_relations", "splits", "generation", "deltas"):
             _require(key in manifest, f"{manifest_path}: missing {key!r}")
         splits = manifest["splits"]
         _require(
@@ -370,13 +377,13 @@ class TripleStore:
                     f"{base}: incomplete store, shard {entry['file']} "
                     f"({split}) listed in the manifest is missing",
                 )
-        generation = manifest.get("generation", 0)
+        generation = manifest["generation"]
         _require(
             isinstance(generation, int) and generation >= 0,
             f"{manifest_path}: 'generation' must be a non-negative integer "
             f"(got {generation!r})",
         )
-        deltas = manifest.get("deltas", [])
+        deltas = manifest["deltas"]
         _require(
             isinstance(deltas, list),
             f"{manifest_path}: 'deltas' must be a list of delta entries",
@@ -426,12 +433,8 @@ class TripleStore:
 
     @property
     def generation(self) -> int:
-        """Delta generation counter (0 for a fresh ingest or v1 manifest)."""
-        return int(self.manifest.get("generation", 0))
-
-    @property
-    def schema_version(self) -> int:
-        return int(self.manifest["store_schema_version"])
+        """Delta generation counter (0 for a fresh ingest)."""
+        return int(self.manifest["generation"])
 
     def vocab_names(self) -> Dict[str, Optional[List[str]]]:
         """Entity/relation name lists from ``vocab.json`` (``None`` when nameless)."""
@@ -478,7 +481,7 @@ class TripleStore:
     # ------------------------------------------------------------------
     def delta_entries(self, split: Optional[str] = None) -> List[Dict[str, Any]]:
         """Manifest delta entries, in application order (oldest first)."""
-        entries = self.manifest.get("deltas", [])
+        entries = self.manifest["deltas"]
         if split is None:
             return list(entries)
         if split not in self.manifest["splits"]:
@@ -751,9 +754,8 @@ class TripleStore:
             )
 
         manifest = dict(self.manifest)
-        manifest["store_schema_version"] = STORE_SCHEMA_VERSION
         manifest["generation"] = generation
-        manifest["deltas"] = list(manifest.get("deltas", [])) + new_entries
+        manifest["deltas"] = list(manifest["deltas"]) + new_entries
         manifest["num_entities"] = int(new_entities)
         manifest["num_relations"] = int(new_relations)
         manifest["vocab_hash"] = vocab_hash(

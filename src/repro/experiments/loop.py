@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.evaluator import CandidateEvaluator
-from repro.core.execution import ExecutionBackend, create_backend
+from repro.core.execution import ExecutionBackend
 from repro.core.invariance import canonical_key
 from repro.core.store import EvaluationStore
 from repro.datasets.knowledge_graph import KnowledgeGraph
@@ -136,11 +136,13 @@ class SearchLoop:
         Master seed: seeds the strategy's RNG and (when an integer) derives
         a deterministic per-candidate training seed, making results
         independent of evaluation order and backend.
-    backend / num_workers:
-        Where candidate training runs; a backend instance wins over a name.
-    store / cache_dir:
+    backend:
+        Where candidate training runs (``None`` is in-process); build one
+        with :meth:`~repro.experiments.spec.BackendSpec.create` or
+        :func:`~repro.core.execution.create_backend`.
+    store:
         Optional persistent evaluation cache shared across strategies and
-        runs; ``cache_dir`` builds a store when none is passed.
+        runs.
     evaluator:
         Injectable for sharing one cache across several loops in-process;
         when given, ``store`` is ignored in favour of the evaluator's own.
@@ -159,10 +161,8 @@ class SearchLoop:
         training_config: Optional[TrainingConfig] = None,
         *,
         seed: RngLike = 0,
-        backend: Union[ExecutionBackend, str, None] = None,
-        num_workers: int = 1,
+        backend: Optional[ExecutionBackend] = None,
         store: Optional[EvaluationStore] = None,
-        cache_dir: Optional[str] = None,
         evaluator: Optional[CandidateEvaluator] = None,
         scheduler: Optional[FidelityScheduler] = None,
         timing: Optional[TimingRecorder] = None,
@@ -174,11 +174,7 @@ class SearchLoop:
         self.seed = seed
         self._rng = rng
         self.timing = timing if timing is not None else TimingRecorder()
-        if isinstance(backend, str):
-            backend = create_backend(backend, num_workers)
         self.backend = backend
-        if store is None and cache_dir:
-            store = EvaluationStore(cache_dir)
         if evaluator is not None:
             self.evaluator = evaluator
             self.store = evaluator.store

@@ -10,8 +10,8 @@ pids), the ``duration`` in seconds, the writing ``pid`` and free-form
 
 Fork-awareness is the load-bearing property: the recorder checks
 ``os.getpid()`` before every write and transparently opens a fresh file
-(and id namespace) in a forked child, so ``ProcessPoolBackend`` workers
-and ``ServingFleet`` workers inherit the parent's recorder via ``fork``
+(and id namespace) in a forked child, so search workers forked by
+``QueueBackend`` and ``ServingFleet`` workers inherit the parent's recorder via ``fork``
 and still produce their own clean per-process timelines.
 :func:`merge_trace_dir` then orders every file's events into one timeline
 by monotonic start, and :func:`summarize_spans` folds that timeline into

@@ -49,7 +49,7 @@ from repro.serving.engine import (
     FilterIndex,
     save_filter_index,
 )
-from repro.serving.service import EngineReloader, QueryServer
+from repro.serving.service import SERVER_SIGNALS, EngineReloader, QueryServer
 from repro.utils.config import ConfigError
 
 PathLike = Union[str, Path]
@@ -154,6 +154,11 @@ class ServingFleet:
         return self.port
 
     def _run_worker(self, worker_id: int) -> None:  # pragma: no cover - child process
+        # Building the engine stack takes a while, and until QueryServer.run
+        # installs its handlers a SIGTERM or SIGHUP would kill this worker.
+        # Blocked here, a signal sent during start-up stays pending until
+        # run() can drain or reload.
+        signal.pthread_sigmask(signal.SIG_BLOCK, SERVER_SIGNALS)
         # Each worker owns a real metrics registry (installed as this
         # process's global sink) so its GET /metrics exposes live
         # per-worker counters and latency histograms.

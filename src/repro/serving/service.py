@@ -355,6 +355,11 @@ class EngineReloader:
         return artifact, engine, batcher
 
 
+#: The signals :meth:`QueryServer.run` handles: SIGTERM/SIGINT drain, SIGHUP
+#: reloads.
+SERVER_SIGNALS = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
+
+
 class QueryServer(ThreadingHTTPServer):
     """A threading HTTP server that mounts the engine stack of a recipe.
 
@@ -527,7 +532,10 @@ class QueryServer(ThreadingHTTPServer):
         forwards SIGHUP after publishing a new generation, and the main
         thread keeps answering on the old mount meanwhile).  Python only
         allows signal handlers on the main thread; a server run on another
-        thread is stopped with :meth:`request_shutdown`.
+        thread is stopped with :meth:`request_shutdown`.  The handlers are
+        installed before :data:`SERVER_SIGNALS` are unblocked, so a caller
+        that blocked them while building the server (a fleet worker does)
+        has a signal sent during start-up delivered to its handler here.
         """
         if threading.current_thread() is threading.main_thread():
             for signum in (signal.SIGTERM, signal.SIGINT):
@@ -538,6 +546,7 @@ class QueryServer(ThreadingHTTPServer):
                     target=self._reload_from_signal, name="query-server-reload", daemon=True
                 ).start(),
             )
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, SERVER_SIGNALS)
         try:
             self.serve_forever()
         except KeyboardInterrupt:

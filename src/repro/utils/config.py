@@ -17,9 +17,9 @@ from typing import Any, Dict, Optional, Tuple
 
 #: Execution backends the search engine knows how to build (the single
 #: source of truth — the execution layer and the CLI both import this).
-#: ``"serial"`` runs in-process, ``"process"`` fans out over a local pool,
-#: ``"queue"`` runs a socket-RPC coordinator that dispatches to worker
-#: processes (local and/or connecting from other hosts).
+#: ``"serial"`` runs in-process; ``"queue"`` runs a socket-RPC coordinator
+#: that dispatches to worker processes (local and/or connecting from other
+#: hosts); ``"process"`` is that queue with local workers only.
 EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "process", "queue")
 
 #: Accepted values of the ignored ``TrainingConfig.train_engine`` key, which

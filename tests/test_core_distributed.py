@@ -8,9 +8,11 @@ deaths (per-candidate seeds make each evaluation order-independent).
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.core import distributed
 from repro.core.distributed import (
     QueueBackend,
     recv_frame,
@@ -287,6 +289,63 @@ class TestExternalWorkers:
         assert not thread.is_alive()
         _assert_bit_identical(serial, queued)
         assert completed["tasks"] == 3
+
+
+def _write_marker(path):
+    Path(path).write_text("code ran in the coordinator", encoding="utf-8")
+    return {"type": "hello", "pid": 0, "host": "intruder"}
+
+
+class _MarkerHello:
+    """A frame whose unpickling runs ``_write_marker`` in the reader."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (_write_marker, (self.path,))
+
+
+class TestPrivateBatch:
+    def test_peer_without_secret_closed_before_unpickling(
+        self, tiny_graph, queue_training_config, tmp_path, monkeypatch
+    ):
+        """A local peer that finds a port-0 batch's port cannot get its
+        first frame unpickled: it lacks the secret the coordinator handed
+        only to the workers it started."""
+        marker = tmp_path / "marker"
+        tasks = _tasks(3)
+        context = EvaluationContext(tiny_graph, queue_training_config)
+        serial = SerialBackend().run(context, tasks)
+        replies = []
+
+        def intrude(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                send_frame(sock, _MarkerHello(marker))
+                try:
+                    replies.append(sock.recv(1))  # b"" once the coordinator closes
+                except ConnectionResetError:
+                    replies.append(b"")
+
+        intruders = []
+        real_spawn = distributed._Coordinator._spawn_local_workers
+
+        def spawn_then_intrude(coordinator, initial):
+            real_spawn(coordinator, initial)
+            if initial:
+                thread = threading.Thread(target=intrude, args=(coordinator.port,))
+                thread.start()
+                intruders.append(thread)
+
+        monkeypatch.setattr(
+            distributed._Coordinator, "_spawn_local_workers", spawn_then_intrude
+        )
+        queued = _fast_queue(num_workers=2).run(context, tasks)
+        for thread in intruders:
+            thread.join(timeout=10.0)
+        assert replies == [b""]
+        assert not marker.exists()
+        _assert_bit_identical(serial, queued)
 
 
 @pytest.mark.slow  # tier 2: repeated batches with randomized worker deaths

@@ -1,19 +1,16 @@
 """Tests for the execution engine and the persistent evaluation store."""
 
-import multiprocessing
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import execution
+from repro.core.distributed import QueueBackend
 from repro.core.evaluator import CandidateEvaluator, experiment_fingerprint
 from repro.core.execution import (
     EvaluationContext,
     EvaluationTask,
     ExecutionError,
-    ProcessPoolBackend,
     SerialBackend,
     create_backend,
     derive_candidate_seed,
@@ -65,24 +62,18 @@ class TestBackends:
     def test_create_backend_factory(self):
         assert isinstance(create_backend("serial"), SerialBackend)
         process = create_backend("process", num_workers=3)
-        assert isinstance(process, ProcessPoolBackend)
+        # The process backend is the queue with its local-only defaults.
+        assert isinstance(process, QueueBackend)
         assert process.num_workers == 3
+        assert (process.host, process.port) == ("127.0.0.1", 0)
 
     def test_create_backend_rejects_unknown(self):
         with pytest.raises(ValueError):
             create_backend("threads")
 
-    def test_process_backend_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(num_workers=0)
-
-    def test_process_backend_rejects_bad_start_method(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(num_workers=2, start_method="no-such-method")
-
     def test_empty_batch(self, tiny_graph, engine_training_config):
         context = EvaluationContext(tiny_graph, engine_training_config)
-        assert ProcessPoolBackend(num_workers=2).run(context, []) == []
+        assert create_backend("process", 2).run(context, []) == []
 
     def test_serial_and_process_outcomes_identical(self, tiny_graph, engine_training_config):
         structures = list(enumerate_f4_structures())[:3]
@@ -92,7 +83,7 @@ class TestBackends:
         ]
         context = EvaluationContext(tiny_graph, engine_training_config)
         serial = SerialBackend().run(context, tasks)
-        parallel = ProcessPoolBackend(num_workers=2).run(context, tasks)
+        parallel = create_backend("process", 2).run(context, tasks)
         assert len(serial) == len(parallel) == len(tasks)
         for a, b in zip(serial, parallel):
             assert a.structure.key() == b.structure.key()
@@ -146,7 +137,8 @@ class TestSearchParity:
         loop = SearchLoop.from_spec(
             ExperimentSpec.from_dict(data), tiny_graph, training_config=engine_training_config
         )
-        assert isinstance(loop.backend, ProcessPoolBackend)
+        assert isinstance(loop.backend, QueueBackend)
+        assert loop.backend.num_workers == 2
         result = loop.run(max_evaluations=5)
         assert result.num_evaluations == 5
 
@@ -164,7 +156,7 @@ class TestEvaluateMany:
     def test_batch_results_in_input_order(self, tiny_graph, engine_training_config):
         structures = list(enumerate_f4_structures())[:3]
         evaluator = CandidateEvaluator(tiny_graph, engine_training_config)
-        batched = evaluator.evaluate_many(structures, backend=ProcessPoolBackend(num_workers=2))
+        batched = evaluator.evaluate_many(structures, backend=create_backend("process", 2))
         for structure, evaluation in zip(structures, batched):
             assert evaluation.structure.key() == structure.key()
 
@@ -212,55 +204,6 @@ class TestCreateBackendValidation:
         assert backend.max_retries == 5
         assert backend.worker_timeout == 7.0
         assert backend.port == 6000
-
-
-# Module-level (picklable) stand-in for _run_worker_task that simulates a
-# worker being OOM-killed / segfaulting while holding task 0.
-_REAL_RUN_WORKER_TASK = execution._run_worker_task
-
-
-def _killed_worker_task(item):
-    index, task = item
-    if index == 0:
-        os._exit(1)
-    return _REAL_RUN_WORKER_TASK(item)
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method required to inherit the patched worker task",
-)
-class TestDeadPoolWorker:
-    """Regression: a worker dying mid-batch used to kill the whole search
-    with a context-free BrokenProcessPool instead of re-dispatching."""
-
-    def test_dead_worker_yields_none_holes_not_a_pool_error(
-        self, tiny_graph, engine_training_config, monkeypatch
-    ):
-        monkeypatch.setattr(execution, "_run_worker_task", _killed_worker_task)
-        structures = list(enumerate_f4_structures())[:3]
-        tasks = [EvaluationTask(structure=s, seed=0) for s in structures]
-        context = EvaluationContext(tiny_graph, engine_training_config)
-        backend = ProcessPoolBackend(num_workers=2, start_method="fork")
-        outcomes = backend.run(context, tasks)  # must not raise
-        assert len(outcomes) == len(tasks)
-        assert outcomes[0] is None  # the task the dead worker held
-
-    def test_evaluator_recovers_dead_worker_batch(
-        self, tiny_graph, engine_training_config, monkeypatch
-    ):
-        structures = list(enumerate_f4_structures())[:3]
-        healthy = CandidateEvaluator(tiny_graph, engine_training_config, base_seed=0)
-        expected = healthy.evaluate_many(structures)
-
-        monkeypatch.setattr(execution, "_run_worker_task", _killed_worker_task)
-        evaluator = CandidateEvaluator(tiny_graph, engine_training_config, base_seed=0)
-        backend = ProcessPoolBackend(num_workers=2, start_method="fork")
-        recovered = evaluator.evaluate_many(structures, backend=backend)
-        assert len(recovered) == len(structures)
-        for a, b in zip(expected, recovered):
-            assert a.structure.key() == b.structure.key()
-            assert a.validation_mrr == b.validation_mrr  # serial-retry parity
 
 
 class TruncatingBackend(SerialBackend):

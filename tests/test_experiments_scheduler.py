@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.invariance import canonical_key
 from repro.core.search_space import enumerate_f4_structures
+from repro.core.store import EvaluationStore
 from repro.datasets import load_benchmark
 from repro.experiments import (
     ExperimentSpec,
@@ -222,7 +223,7 @@ class TestScheduledLoop:
             FixedFrontStrategy(front),
             asha_training_config,
             seed=0,
-            cache_dir=str(tmp_path),
+            store=EvaluationStore(tmp_path),
             scheduler=FidelityScheduler(reduction=3),
         )
         result = loop.run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.execution import ProcessPoolBackend
+from repro.core.distributed import QueueBackend
 from repro.experiments import (
     BackendSpec,
     DatasetSpec,
@@ -139,6 +139,13 @@ class TestExperimentSpec:
         assert "obs" in with_obs.to_dict()
         assert spec_digest(ExperimentSpec(name="stable")) != spec_digest(with_obs)
 
+    def test_process_backend_dump_and_digest_pinned(self):
+        """The process backend's spec dump predates its move onto the queue
+        backend; committed specs and manifest digests must not change."""
+        spec = ExperimentSpec(name="process", backend=BackendSpec(backend="process", num_workers=2))
+        assert spec.backend.to_dict() == {"backend": "process", "num_workers": 2}
+        assert spec_digest(spec) == "d242fe988c3f1e9a32d895062bd9daf9"
+
     def test_obs_round_trip(self):
         spec = ExperimentSpec(
             name="obs", obs=ObsSpec(enabled=True, trace=False, metrics=True)
@@ -230,7 +237,7 @@ class TestExperimentSpec:
         assert loop.strategy.predictor.config.feature_type == "onehot"
         assert loop.seed == 3
         assert loop.evaluator.base_seed == 3
-        assert isinstance(loop.backend, ProcessPoolBackend)
+        assert isinstance(loop.backend, QueueBackend)
         assert loop.backend.num_workers == 2
         assert loop.scheduler is not None
         assert loop.training_config == spec.training

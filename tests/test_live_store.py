@@ -155,7 +155,7 @@ class TestApplyDelta:
 
 
 class TestManifestCompat:
-    def test_v1_manifest_loads_with_generation_zero(self, graph, tmp_path):
+    def test_v1_manifest_rejected_with_the_fix_named(self, graph, tmp_path):
         store = graph.to_store(tmp_path / "kg")
         manifest_path = store.directory / MANIFEST_FILENAME
         manifest = json.loads(manifest_path.read_text())
@@ -164,13 +164,18 @@ class TestManifestCompat:
         manifest.pop("deltas")
         manifest["store_schema_version"] = 1
         manifest_path.write_text(json.dumps(manifest))
-        reopened = TripleStore.open(store.directory)
-        assert reopened.generation == 0
-        assert reopened.schema_version == 1
-        assert not reopened.has_deltas()
-        np.testing.assert_array_equal(
-            reopened.load_split("train"), store.load_split("train")
-        )
+        with pytest.raises(DatasetError, match="re-ingest") as excinfo:
+            TripleStore.open(store.directory)
+        assert '"generation": 0, "deltas": []' in str(excinfo.value)
+
+    def test_v2_manifest_without_live_keys_rejected(self, graph, tmp_path):
+        store = graph.to_store(tmp_path / "kg")
+        manifest_path = store.directory / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest.pop("deltas")
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="missing 'deltas'"):
+            TripleStore.open(store.directory)
 
     def test_future_schema_version_still_descriptive(self, graph, tmp_path):
         store = graph.to_store(tmp_path / "kg")

@@ -199,6 +199,53 @@ class TestServingFleet:
             fleet.close()
         assert status == 0
 
+    @pytest.fixture()
+    def slow_start_fleet(self, fleet_artifact, tmp_path, monkeypatch):
+        """A 1-worker fleet whose engine build is slow, and a callable that
+        waits until the worker is inside that build."""
+        building = tmp_path / "building"
+        real_build = EngineReloader.build
+
+        def slow_build(reloader, *args, **kwargs):
+            building.touch()
+            time.sleep(1.0)
+            return real_build(reloader, *args, **kwargs)
+
+        # Patched before start(), so the forked worker inherits it.
+        monkeypatch.setattr(EngineReloader, "build", slow_build)
+        fleet = ServingFleet(EngineReloader(fleet_artifact), host=HOST, port=0, workers=1)
+
+        def wait_for_build():
+            deadline = time.monotonic() + 30.0
+            while not building.exists():
+                assert time.monotonic() < deadline, "worker never started its build"
+                time.sleep(0.01)
+
+        yield fleet, wait_for_build
+        fleet.terminate(signal.SIGKILL)  # no-op once the test reaped the worker
+        fleet.wait()
+        fleet.close()
+
+    def test_sigterm_during_startup_exits_cleanly(self, slow_start_fleet):
+        """Regression: a worker installed its SIGTERM handler only after its
+        engine stack was built, so a SIGTERM during start-up killed it."""
+        fleet, wait_for_build = slow_start_fleet
+        fleet.start()
+        wait_for_build()
+        fleet.terminate(signal.SIGTERM)
+        assert fleet.wait() == 0
+
+    def test_sighup_during_startup_does_not_kill(self, slow_start_fleet):
+        fleet, wait_for_build = slow_start_fleet
+        port = fleet.start()
+        wait_for_build()
+        fleet.terminate(signal.SIGHUP)
+        wait_until_healthy(HOST, port, timeout_s=30.0)
+        status, _ = http_json(port, "GET", "/stats")
+        assert status == 200
+        fleet.terminate(signal.SIGTERM)
+        assert fleet.wait() == 0
+
     def test_precomputed_filter_index_saved_beside_artifact(
         self, fleet_artifact, tiny_graph
     ):
