@@ -3,10 +3,9 @@
 Fixtures: small graphs and configurations sized for fast tests.
 
 Tiers: tests carrying one of the markers registered in ``pyproject.toml``
-(``slow`` — long integration runs, ``property`` — hypothesis suites,
-``bench`` — timing tests) form tier 2 and are skipped by the default
-``pytest -x -q`` run (tier 1).  Pass ``--runslow`` to run them; CI has a
-dedicated tier-2 job.  See TESTING.md.
+(``slow`` — long integration runs, ``property`` — hypothesis suites) form
+tier 2 and are skipped by the default ``pytest -x -q`` run (tier 1).  Pass
+``--runslow`` to run them; CI has a dedicated tier-2 job.  See TESTING.md.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.experiments import ExperimentSpec, SearchSpec
 from repro.utils.config import PredictorConfig, TrainingConfig
 
 #: Markers whose tests are tier 2 (skipped unless --runslow is given).
-TIER2_MARKERS = ("slow", "property", "bench")
+TIER2_MARKERS = ("slow", "property")
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -28,7 +27,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--runslow",
         action="store_true",
         default=False,
-        help="run tier-2 tests (marked slow / property / bench)",
+        help="run tier-2 tests (marked slow / property)",
     )
 
 
