@@ -197,11 +197,14 @@ def table4(runs: Dict[str, DatasetRun], claims: dict) -> str:
 
 def table5(runs: Dict[str, DatasetRun]) -> str:
     paper_diagonal = {name: PAPER_MRR[name]["autosf"] for name in runs}
+    # Every cell through the runs' cache: the diagonal is the model Tables
+    # IV and VI retrain, so it is not trained again.
     transfer = transfer_matrix(
         {name: run.graph for name, run in runs.items()},
         {name: run.search.best_structure for name, run in runs.items()},
         TRAINING,
         split="test",
+        train=lambda target, structure: runs[target].retrained(structure),
     )
     rows = transfer.as_rows()
     for row in rows:
@@ -310,12 +313,12 @@ def fig6(runs: Dict[str, DatasetRun]) -> str:
     for name in FIGURE_DATASETS:
         graph = runs[name].graph
 
-        def search(spec, **shared):
-            loop = SearchLoop.from_spec(spec, graph, training_config=TRAINING, **shared)
+        def search(spec):
+            loop = SearchLoop.from_spec(spec, graph, training_config=TRAINING)
             return loop.run(max_evaluations=FIG6_BUDGET).anytime_curve()
 
         curves = {
-            "autosf": search(search_spec(), evaluator=CandidateEvaluator(graph, TRAINING)),
+            "autosf": search(search_spec()),
             "random": search(search_spec(strategy="random", num_blocks=6)),
             "bayes": search(search_spec(strategy="bayes", num_blocks=6, pool_size=24)),
             "gen_approx_mlp": [general_approximator_baseline(graph, TRAINING)] * FIG6_BUDGET,
@@ -410,7 +413,9 @@ FIG9_SETTINGS = {
 
 def fig9(runs: Dict[str, DatasetRun]) -> str:
     graph = runs["wn18rr"].graph
-    evaluator = CandidateEvaluator(graph, TRAINING)
+    # One evaluator for every setting, so a structure two settings propose
+    # trains once, seeded per candidate as each search's own evaluator is.
+    evaluator = CandidateEvaluator(graph, TRAINING, base_seed=search_spec().seed)
     curves = {
         name: SearchLoop.from_spec(
             search_spec(**overrides), graph, training_config=TRAINING, evaluator=evaluator

@@ -9,10 +9,10 @@ combination and returns the full MRR matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.datasets.knowledge_graph import KnowledgeGraph
-from repro.kge.model import train_model
+from repro.kge.model import KGEModel, train_model
 from repro.kge.scoring.blocks import BlockStructure
 from repro.utils.config import TrainingConfig
 
@@ -54,6 +54,7 @@ def transfer_matrix(
     structures: Mapping[str, BlockStructure],
     config: Optional[TrainingConfig] = None,
     split: str = "test",
+    train: Optional[Callable[[str, BlockStructure], KGEModel]] = None,
 ) -> TransferResult:
     """Train every searched structure on every dataset and evaluate it.
 
@@ -63,7 +64,16 @@ def transfer_matrix(
         ``{dataset name: graph}`` — the evaluation targets (columns).
     structures:
         ``{dataset name: structure searched on that dataset}`` (rows).
+    train:
+        Optional ``train(target name, structure) -> model``; the default
+        trains ``structure`` on ``graphs[target]`` with ``config``.  A caller
+        that already trained some cells passes its cache here.
     """
+    if train is None:
+
+        def train(target: str, structure: BlockStructure) -> KGEModel:
+            return train_model(graphs[target], structure, config)
+
     names = [name for name in structures if name in graphs]
     if not names:
         raise ValueError("structures and graphs share no dataset names")
@@ -71,7 +81,7 @@ def transfer_matrix(
     for source in names:
         result.matrix[source] = {}
         for target in names:
-            model = train_model(graphs[target], structures[source], config)
+            model = train(target, structures[source])
             evaluation = model.evaluate(graphs[target], split=split)
             result.matrix[source][target] = evaluation.mrr
     return result

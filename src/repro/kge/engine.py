@@ -31,17 +31,32 @@ through ``Trainer(engine=...)``, in the same spirit as
 ``atol=1e-10``.  The lazy touched-rows update (regularizer on the gathered
 rows plus :meth:`~repro.kge.optimizers.Optimizer.step_sparse`) lives next to
 its only caller, :mod:`repro.live.finetune`.
+
+Each ``Trainer.fit`` runs on one :class:`~repro.kge.workspace.Workspace`
+that the engine holds from the start of the fit until it returns
+(:meth:`TrainEngine.fitting`).  The first step allocates the dense
+gradient, the optimizer's and regularizer's elementwise scratch and the
+pairwise kernel's sub-tables, score matrix and gradient blocks; every later
+step overwrites them in place instead of allocating and freeing them, which
+made each pairwise step fault its pages back in.  The rule that makes this
+safe to change: every in-place statement performs the operations of the
+allocating expression it replaced in the same order, so float results do
+not move by a bit (``tests/train_step_oracle.py`` keeps the allocating step
+as the oracle).  A step outside a fit runs the same code on scratch
+allocated for that call.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.kge.losses import StreamingMulticlass, multiclass_inplace
 from repro.kge.negative_sampling import NegativeSampler, UniformNegativeSampler
-from repro.kge.scoring.base import HEAD, TAIL, ParamDict
+from repro.kge.scoring.base import HEAD, TAIL, ParamDict, gather_rows
+from repro.kge.workspace import Workspace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.kge.trainer import Trainer
@@ -95,18 +110,39 @@ class TrainEngine:
         if score_chunk_size < 0:
             raise ValueError("score_chunk_size must be non-negative")
         self.score_chunk_size = int(score_chunk_size)
+        #: The scratch of the fit in progress (see :meth:`fitting`); ``None``
+        #: between fits.
+        self.workspace: Optional[Workspace] = None
+
+    @contextmanager
+    def fitting(self) -> Iterator[None]:
+        """Hold one :class:`~repro.kge.workspace.Workspace` for one ``Trainer.fit``.
+
+        The first step allocates its buffers, every later step reuses them,
+        and they are dropped when the fit returns or raises.  An engine runs
+        one fit at a time.
+        """
+        if self.workspace is not None:
+            raise RuntimeError("this training engine is already running a fit")
+        self.workspace = Workspace()
+        try:
+            yield
+        finally:
+            self.workspace = None
 
     def train_step(self, trainer: "Trainer", params: ParamDict, batch: np.ndarray) -> float:
         """Run one full mini-batch update in place; return the batch loss.
 
-        Allocate a dense gradient dict, let :meth:`accumulate_batch` fill
-        it, add the regularizer gradient and hand everything to
-        :meth:`Optimizer.step`.
+        Zero the dense gradient dict, let :meth:`accumulate_batch` fill it,
+        add the regularizer gradient and hand everything to
+        :meth:`Optimizer.step`.  Inside a fit all of it runs on the fit's
+        workspace; a step called on its own uses scratch for that call.
         """
-        grads = trainer.scoring_function.zero_grads(params)
-        value = self.accumulate_batch(trainer, params, batch, grads)
-        trainer.regularizer.add_gradients(params, grads)
-        trainer.optimizer.step(params, grads)
+        workspace = Workspace.scratch(self.workspace)
+        grads = workspace.zeros_like("grad", params)
+        value = self.accumulate_batch(trainer, params, batch, grads, workspace)
+        trainer.regularizer.add_gradients(params, grads, workspace)
+        trainer.optimizer.step(params, grads, workspace)
         return value
 
     def accumulate_batch(
@@ -115,6 +151,7 @@ class TrainEngine:
         params: ParamDict,
         batch: np.ndarray,
         grads: ParamDict,
+        workspace: Optional[Workspace] = None,
     ) -> float:
         """Add both ranking directions' gradients to ``grads``; return the loss.
 
@@ -124,7 +161,7 @@ class TrainEngine:
         """
         if trainer.loss.needs_negative_samples:
             value, entities, relations, _sub_params, blocks = touched_rows_batch(
-                trainer, params, batch
+                trainer, params, batch, workspace
             )
             for key, block in blocks.items():
                 if key == "entities":
@@ -208,6 +245,7 @@ class ReferenceTrainEngine(TrainEngine):
         params: ParamDict,
         batch: np.ndarray,
         grads: ParamDict,
+        workspace: Optional[Workspace] = None,
     ) -> float:
         value = 0.0
         for direction in (TAIL, HEAD):
@@ -231,7 +269,10 @@ class ReferenceTrainEngine(TrainEngine):
 
 
 def touched_rows_batch(
-    trainer: "Trainer", params: ParamDict, batch: np.ndarray
+    trainer: "Trainer",
+    params: ParamDict,
+    batch: np.ndarray,
+    workspace: Optional[Workspace] = None,
 ) -> Tuple[float, np.ndarray, np.ndarray, ParamDict, ParamDict]:
     """Loss and compact gradient blocks of one pairwise-loss batch.
 
@@ -258,7 +299,13 @@ def touched_rows_batch(
     ``blocks["relations"]`` likewise, and any other key (e.g. the MLP
     scorer's network weights) holds a dense full-shape gradient.
     Regularization is *not* applied here.
+
+    The gathered sub-tables, the score matrix (which the loss overwrites
+    with its gradient) and the gradient blocks live in ``workspace``; the
+    returned ``sub_params`` and ``blocks`` are its buffers, valid until the
+    next call with the same workspace.  Without one they are fresh arrays.
     """
+    workspace = Workspace.scratch(workspace)
     scoring_function = trainer.scoring_function
     batch = np.asarray(batch, dtype=np.int64)
     heads, relations, tails = batch[:, 0], batch[:, 1], batch[:, 2]
@@ -276,8 +323,12 @@ def touched_rows_batch(
     # Gather the touched rows once; every other parameter key passes
     # through by reference.
     sub_params = dict(params)
-    sub_params["entities"] = params["entities"][touched_entities]
-    sub_params["relations"] = params["relations"][touched_relations]
+    sub_params["entities"] = gather_rows(
+        params["entities"], touched_entities, workspace, "touched/entities"
+    )
+    sub_params["relations"] = gather_rows(
+        params["relations"], touched_relations, workspace, "touched/relations"
+    )
     heads_c = np.searchsorted(touched_entities, heads)
     tails_c = np.searchsorted(touched_entities, tails)
     relations_c = np.searchsorted(touched_relations, relations)
@@ -292,16 +343,31 @@ def touched_rows_batch(
         columns = np.unique(np.concatenate([targets, direction_negatives.ravel()]))
         candidates_c = np.searchsorted(touched_entities, columns)
         scores = scoring_function.score_candidates(
-            sub_params, queries_c, direction=direction, candidates=candidates_c
+            sub_params,
+            queries_c,
+            direction=direction,
+            candidates=candidates_c,
+            out=workspace.empty("pairwise/scores", (queries_c.shape[0], columns.shape[0])),
+            workspace=workspace,
         )
         direction_value, dscores = trainer.loss.compute(
             scores,
             np.searchsorted(columns, targets),
             negatives=np.searchsorted(columns, direction_negatives),
+            out=scores,
         )
         value += direction_value
         direction_blocks = scoring_function.grad_candidates(
-            sub_params, queries_c, dscores, direction=direction, candidates=candidates_c
+            sub_params,
+            queries_c,
+            dscores,
+            direction=direction,
+            candidates=candidates_c,
+            out={
+                key: workspace.empty_like(f"blocks/{direction}/{key}", array)
+                for key, array in sub_params.items()
+            },
+            workspace=workspace,
         )
         if blocks is None:
             blocks = direction_blocks

@@ -15,7 +15,8 @@ where ``scores`` is the ``(batch, num_candidates)`` score matrix, ``targets``
 gives the column of the true entity for every row, and ``negatives`` (only
 used by the pairwise losses) holds ``(batch, num_negatives)`` sampled
 negative columns.  ``dscores`` is the gradient of the *mean* per-triple loss
-with respect to ``scores``.
+with respect to ``scores``; ``compute(..., out=array)`` writes it into
+``array``, which may be ``scores`` itself.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def _check_inputs(scores: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, 
     if targets.min(initial=0) < 0 or (targets.size and targets.max() >= scores.shape[1]):
         raise ValueError("target column out of range")
     return scores, targets
+
+
+def _zeroed(out: Optional[np.ndarray], like: np.ndarray) -> np.ndarray:
+    """``out`` zero-filled, or a new zero array shaped like ``like``."""
+    if out is None:
+        return np.zeros_like(like)
+    out.fill(0.0)
+    return out
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -65,8 +74,9 @@ class Loss(ABC):
         scores: np.ndarray,
         targets: np.ndarray,
         negatives: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[float, np.ndarray]:
-        """Return (mean loss, d mean-loss / d scores)."""
+        """Return (mean loss, d mean-loss / d scores), the latter in ``out`` if given."""
 
 
 class MulticlassLoss(Loss):
@@ -79,18 +89,19 @@ class MulticlassLoss(Loss):
         scores: np.ndarray,
         targets: np.ndarray,
         negatives: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[float, np.ndarray]:
         scores, targets = _check_inputs(scores, targets)
         batch = scores.shape[0]
         if batch == 0:
-            return 0.0, np.zeros_like(scores)
+            return 0.0, _zeroed(out, scores)
         shifted = scores - scores.max(axis=1, keepdims=True)
         exp_scores = np.exp(shifted)
         partition = exp_scores.sum(axis=1, keepdims=True)
         log_probs = shifted - np.log(partition)
         rows = np.arange(batch)
         value = float(-log_probs[rows, targets].mean())
-        dscores = exp_scores / partition
+        dscores = np.divide(exp_scores, partition, out=out)
         dscores[rows, targets] -= 1.0
         dscores /= batch
         return value, dscores
@@ -190,6 +201,7 @@ class LogisticLoss(Loss):
         scores: np.ndarray,
         targets: np.ndarray,
         negatives: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[float, np.ndarray]:
         scores, targets = _check_inputs(scores, targets)
         if negatives is None:
@@ -203,7 +215,7 @@ class LogisticLoss(Loss):
         value = float(
             (softplus(-positive_scores) + softplus(negative_scores).mean(axis=1)).mean()
         )
-        dscores = np.zeros_like(scores)
+        dscores = _zeroed(out, scores)
         dscores[rows, targets] -= sigmoid(-positive_scores)
         np.add.at(
             dscores,
@@ -229,6 +241,7 @@ class HingeLoss(Loss):
         scores: np.ndarray,
         targets: np.ndarray,
         negatives: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[float, np.ndarray]:
         scores, targets = _check_inputs(scores, targets)
         if negatives is None:
@@ -243,7 +256,7 @@ class HingeLoss(Loss):
         active = violations > 0
         value = float(np.where(active, violations, 0.0).mean(axis=1).mean())
 
-        dscores = np.zeros_like(scores)
+        dscores = _zeroed(out, scores)
         per_pair = active.astype(np.float64) / num_negatives
         dscores[rows, targets] -= per_pair.sum(axis=1)
         np.add.at(dscores, (rows[:, None], negatives), per_pair)

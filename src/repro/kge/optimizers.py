@@ -21,6 +21,13 @@ Two update entry points exist:
   (all zeros); the rows of never-touched entries simply stay zero, which is
   exactly the state a dense run would have left them in.
 
+:meth:`Optimizer.step` writes its elementwise intermediates into a
+:class:`~repro.kge.workspace.Workspace` through ``out=`` (a throwaway one
+when the caller passes none) and updates the state arrays in place.  Each
+statement performs the operations of the textbook expression in the same
+order, so the update is bit for bit that of the allocating form; the
+workspace never enters the optimizer state or a snapshot.
+
 Sparse/dense equivalence: for SGD and Adagrad a sparse step is numerically
 identical to a dense step whose gradient is zero outside ``indices`` (a zero
 gradient row moves neither the parameter nor the accumulator).  Adam is the
@@ -33,11 +40,12 @@ pure-decay drift of untouched rows afterwards.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.kge.scoring.base import ParamDict
+from repro.kge.workspace import Workspace
 
 #: A sparse-gradient dict entry: either a full-shape dense array or an
 #: ``(indices, block)`` pair addressing a subset of parameter rows.
@@ -130,8 +138,14 @@ class Optimizer(ABC):
         return self._state[key]
 
     @abstractmethod
-    def step(self, params: ParamDict, grads: ParamDict) -> None:
-        """Update ``params`` in place from ``grads``."""
+    def step(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
+        """Update ``params`` in place from ``grads``.
+
+        ``workspace`` holds the elementwise scratch; without one the step
+        allocates its own for this call.
+        """
 
     def step_sparse(self, params: ParamDict, grads: SparseGradDict) -> None:
         """Update ``params`` in place from a sparse-gradient dict.
@@ -188,10 +202,17 @@ class Optimizer(ABC):
 class SGD(Optimizer):
     """Plain stochastic gradient descent."""
 
-    def step(self, params: ParamDict, grads: ParamDict) -> None:
+    def step(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         self._check(params, grads)
+        workspace = Workspace.scratch(workspace)
         for key, grad in grads.items():
-            params[key] -= self.learning_rate * grad
+            # params -= learning_rate * grad
+            update = np.multiply(
+                self.learning_rate, grad, out=workspace.empty_like(f"{key}/0", grad)
+            )
+            params[key] -= update
 
     def step_sparse(self, params: ParamDict, grads: SparseGradDict) -> None:
         self._check_sparse(params, grads)
@@ -210,12 +231,24 @@ class Adagrad(Optimizer):
         super().__init__(learning_rate, decay_rate)
         self.epsilon = float(epsilon)
 
-    def step(self, params: ParamDict, grads: ParamDict) -> None:
+    def step(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         self._check(params, grads)
+        workspace = Workspace.scratch(workspace)
         for key, grad in grads.items():
-            state = self._state_for(key, params[key], ("sum_squares",))
-            state["sum_squares"] += grad * grad
-            params[key] -= self.learning_rate * grad / (np.sqrt(state["sum_squares"]) + self.epsilon)
+            sum_squares = self._state_for(key, params[key], ("sum_squares",))["sum_squares"]
+            # sum_squares += grad * grad
+            scratch = np.multiply(grad, grad, out=workspace.empty_like(f"{key}/0", grad))
+            sum_squares += scratch
+            # params -= learning_rate * grad / (sqrt(sum_squares) + epsilon)
+            denominator = np.sqrt(sum_squares, out=scratch)
+            denominator += self.epsilon
+            update = np.multiply(
+                self.learning_rate, grad, out=workspace.empty_like(f"{key}/1", grad)
+            )
+            update /= denominator
+            params[key] -= update
 
     def step_sparse(self, params: ParamDict, grads: SparseGradDict) -> None:
         self._check_sparse(params, grads)
@@ -267,18 +300,34 @@ class Adam(Optimizer):
         super().restore(snapshot)
         self._step_count = int(snapshot["step_count"])
 
-    def step(self, params: ParamDict, grads: ParamDict) -> None:
+    def step(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         self._check(params, grads)
+        workspace = Workspace.scratch(workspace)
         self._step_count += 1
         correction1 = 1.0 - self.beta1**self._step_count
         correction2 = 1.0 - self.beta2**self._step_count
         for key, grad in grads.items():
             state = self._state_for(key, params[key], ("m", "v"))
-            state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * grad
-            state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * grad * grad
-            m_hat = state["m"] / correction1
-            v_hat = state["v"] / correction2
-            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = state["m"], state["v"]
+            scratch = workspace.empty_like(f"{key}/0", grad)
+            # m = beta1 * m + (1 - beta1) * grad
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, grad, out=scratch)
+            # v = beta2 * v + (1 - beta2) * grad * grad
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, grad, out=scratch)
+            scratch *= grad
+            v += scratch
+            # params -= learning_rate * m_hat / (sqrt(v_hat) + epsilon)
+            update = np.divide(m, correction1, out=scratch)
+            denominator = np.divide(v, correction2, out=workspace.empty_like(f"{key}/1", grad))
+            np.sqrt(denominator, out=denominator)
+            denominator += self.epsilon
+            update *= self.learning_rate
+            update /= denominator
+            params[key] -= update
 
     def step_sparse(self, params: ParamDict, grads: SparseGradDict) -> None:
         """Lazy Adam: decay and update moments only for the touched rows.

@@ -9,16 +9,21 @@ Two regularizers are provided:
   standard companion of the multi-class loss for bilinear models.
 
 A regularizer contributes a scalar penalty and adds its gradient into an
-existing gradient dict in place.
+existing gradient dict in place.  The gradient's elementwise intermediates
+go into a :class:`~repro.kge.workspace.Workspace` through ``out=`` (a
+throwaway one when the caller passes none), in the order of the textbook
+expression, so the sum is bit for bit that of the allocating form.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
 from repro.kge.scoring.base import ParamDict
+from repro.kge.workspace import Workspace
 
 
 class Regularizer(ABC):
@@ -34,7 +39,9 @@ class Regularizer(ABC):
         """The scalar penalty value."""
 
     @abstractmethod
-    def add_gradients(self, params: ParamDict, grads: ParamDict) -> None:
+    def add_gradients(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         """Accumulate the penalty gradient into ``grads`` in place."""
 
 
@@ -46,11 +53,16 @@ class L2Regularizer(Regularizer):
             return 0.0
         return self.weight * float(sum(np.sum(value * value) for value in params.values()))
 
-    def add_gradients(self, params: ParamDict, grads: ParamDict) -> None:
+    def add_gradients(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         if self.weight == 0:
             return
+        workspace = Workspace.scratch(workspace)
+        scale = 2.0 * self.weight
         for key, value in params.items():
-            grads[key] += 2.0 * self.weight * value
+            # grads += 2.0 * weight * value
+            grads[key] += np.multiply(scale, value, out=workspace.empty_like(f"{key}/0", value))
 
 
 class N3Regularizer(Regularizer):
@@ -67,12 +79,21 @@ class N3Regularizer(Regularizer):
                 total += float(np.sum(np.abs(params[key]) ** 3))
         return self.weight * total
 
-    def add_gradients(self, params: ParamDict, grads: ParamDict) -> None:
+    def add_gradients(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         if self.weight == 0:
             return
+        workspace = Workspace.scratch(workspace)
+        scale = 3.0 * self.weight
         for key in self._targets:
             if key in params:
-                grads[key] += 3.0 * self.weight * np.sign(params[key]) * params[key] ** 2
+                # grads += 3.0 * weight * sign(value) * value ** 2
+                value = params[key]
+                term = np.sign(value, out=workspace.empty_like(f"{key}/0", value))
+                term *= scale
+                term *= np.square(value, out=workspace.empty_like(f"{key}/1", value))
+                grads[key] += term
 
 
 class NoRegularizer(Regularizer):
@@ -84,7 +105,9 @@ class NoRegularizer(Regularizer):
     def penalty(self, params: ParamDict) -> float:
         return 0.0
 
-    def add_gradients(self, params: ParamDict, grads: ParamDict) -> None:
+    def add_gradients(
+        self, params: ParamDict, grads: ParamDict, workspace: Optional[Workspace] = None
+    ) -> None:
         return None
 
 

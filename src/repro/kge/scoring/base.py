@@ -28,6 +28,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.kge.workspace import Workspace
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Parameter and gradient containers are plain dicts of arrays.
@@ -77,9 +78,13 @@ class ScoringFunction(ABC):
             "relations": gen.uniform(-scale, scale, size=(num_relations, dimension)),
         }
 
-    def zero_grads(self, params: ParamDict) -> ParamDict:
-        """Return a gradient dict of zeros matching ``params``."""
-        return {key: np.zeros_like(value) for key, value in params.items()}
+    def zero_grads(self, params: ParamDict, out: Optional[ParamDict] = None) -> ParamDict:
+        """A gradient dict of zeros matching ``params``: ``out`` zero-filled, if given."""
+        if out is None:
+            return {key: np.zeros_like(value) for key, value in params.items()}
+        for value in out.values():
+            value.fill(0)
+        return out
 
     # ------------------------------------------------------------------
     # Scoring
@@ -105,6 +110,8 @@ class ScoringFunction(ABC):
         queries: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         """Score queries against candidate entities.
 
@@ -118,6 +125,12 @@ class ScoringFunction(ABC):
         candidates:
             Optional ``(num_candidates,)`` entity index array; ``None`` means
             every entity.
+        out:
+            Optional ``(batch, num_candidates)`` array the scores are written
+            into (and returned).
+        workspace:
+            Optional scratch the family may reuse for its temporaries; it
+            never holds the returned array.
 
         Returns
         -------
@@ -132,6 +145,8 @@ class ScoringFunction(ABC):
         dscores: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[ParamDict] = None,
+        workspace: Optional[Workspace] = None,
     ) -> ParamDict:
         """Backpropagate through :meth:`score_candidates`.
 
@@ -139,6 +154,11 @@ class ScoringFunction(ABC):
         ----------
         dscores:
             ``(batch, num_candidates)`` upstream gradient (d loss / d score).
+        out:
+            Optional dict of arrays shaped like ``params`` that the gradient
+            overwrites (and that is returned).
+        workspace:
+            As in :meth:`score_candidates`.
 
         Returns
         -------
@@ -344,6 +364,23 @@ class RelationOperator:
             f"{type(self).__name__}(scoring_function={self.scoring_function.name!r}, "
             f"relation={self.relation}, direction={self.direction!r})"
         )
+
+
+def gather_rows(
+    table: np.ndarray, index: np.ndarray, workspace: Workspace, name: str
+) -> np.ndarray:
+    """``table[index]``, written into workspace buffer ``name``.
+
+    ``np.take`` with ``mode="wrap"`` indexes like ``table[index]`` for
+    in-range (and negative) indices without the intermediate copy that its
+    default mode makes; the explicit bounds check keeps fancy indexing's
+    ``IndexError``.
+    """
+    rows = table.shape[0]
+    if index.size and (index.min() < -rows or index.max() >= rows):
+        raise IndexError(f"index out of bounds for axis 0 with size {rows}")
+    out = workspace.empty(name, (index.shape[0],) + table.shape[1:], table.dtype)
+    return np.take(table, index, axis=0, out=out, mode="wrap")
 
 
 def check_queries(queries: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from repro.kge.scoring.base import (
     ScoringFunction,
     check_queries,
     check_triples,
+    gather_rows,
     validate_direction,
 )
 from repro.kge.scoring.blocks import (
@@ -33,6 +34,7 @@ from repro.kge.scoring.blocks import (
     distmult_structure,
     simple_structure,
 )
+from repro.kge.workspace import Workspace
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -93,27 +95,34 @@ class BlockScoringFunction(ScoringFunction):
         queries: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         queries = check_queries(queries)
         validate_direction(direction)
         self._check_dimension(params)
+        workspace = Workspace.scratch(workspace)
         entities, relations = params["entities"], params["relations"]
         candidate_index = self.candidate_entities(params, candidates)
-        candidate_rows = entities[candidate_index]
+        candidate_rows = gather_rows(entities, candidate_index, workspace, "block/candidates")
         query_entities = entities[queries[:, 0]]
         query_relations = relations[queries[:, 1]]
 
-        scores = np.zeros((queries.shape[0], candidate_index.shape[0]), dtype=np.float64)
-        for row, col, component, sign in self.structure.blocks:
-            rel_chunk = self._chunk(query_relations, component)
-            if direction == TAIL:
-                # query entity is the head (chunk `row`), candidate is the tail (chunk `col`).
-                partial = self._chunk(query_entities, row) * rel_chunk
-                scores += sign * partial @ self._chunk(candidate_rows, col).T
-            else:
-                # query entity is the tail (chunk `col`), candidate is the head (chunk `row`).
-                partial = self._chunk(query_entities, col) * rel_chunk
-                scores += sign * partial @ self._chunk(candidate_rows, row).T
+        shape = (queries.shape[0], candidate_index.shape[0])
+        scores = np.empty(shape) if out is None else out
+        scores.fill(0.0)
+        product = workspace.empty("block/product", shape)
+        for query_chunk, candidate_chunk, component, sign in self._query_chunks(direction):
+            # scores += sign * (e_q ∘ r) @ candidate chunk.T, the sign applied
+            # to the small (batch, chunk) factor (negation is exact).
+            partial = self._chunk(query_entities, query_chunk) * self._chunk(
+                query_relations, component
+            )
+            if sign < 0:
+                np.negative(partial, out=partial)
+            scores += np.matmul(
+                partial, self._chunk(candidate_rows, candidate_chunk).T, out=product
+            )
         return scores
 
     def grad_candidates(
@@ -123,13 +132,16 @@ class BlockScoringFunction(ScoringFunction):
         dscores: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[ParamDict] = None,
+        workspace: Optional[Workspace] = None,
     ) -> ParamDict:
         queries = check_queries(queries)
         validate_direction(direction)
         self._check_dimension(params)
+        workspace = Workspace.scratch(workspace)
         entities, relations = params["entities"], params["relations"]
         candidate_index = self.candidate_entities(params, candidates)
-        candidate_rows = entities[candidate_index]
+        candidate_rows = gather_rows(entities, candidate_index, workspace, "block/candidates")
         query_entity_index = queries[:, 0]
         query_relation_index = queries[:, 1]
         query_entities = entities[query_entity_index]
@@ -138,29 +150,35 @@ class BlockScoringFunction(ScoringFunction):
         if dscores.shape != (queries.shape[0], candidate_index.shape[0]):
             raise ValueError("dscores shape must be (batch, num_candidates)")
 
-        grads = self.zero_grads(params)
+        grads = self.zero_grads(params, out)
         chunk_size = entities.shape[1] // NUM_CHUNKS
+        # Strictly increasing candidates are unique, so a fancy-index add
+        # does what np.add.at does, without its per-element dispatch.
+        unique_candidates = bool(np.all(np.diff(candidate_index) > 0))
 
         def chunk_slice(index: int) -> slice:
             return slice(index * chunk_size, (index + 1) * chunk_size)
 
-        for row, col, component, sign in self.structure.blocks:
-            if direction == TAIL:
-                query_chunk, candidate_chunk = row, col
-            else:
-                query_chunk, candidate_chunk = col, row
+        for query_chunk, candidate_chunk, component, sign in self._query_chunks(direction):
             rel = self._chunk(query_relations, component)
             ent = self._chunk(query_entities, query_chunk)
             cand = self._chunk(candidate_rows, candidate_chunk)
 
             partial = ent * rel  # (batch, chunk)
-            # d score / d candidate chunk
-            np.add.at(
-                grads["entities"][:, chunk_slice(candidate_chunk)],
-                candidate_index,
-                sign * dscores.T @ partial,
-            )
-            upstream = sign * dscores @ cand  # (batch, chunk)
+            # d score / d candidate chunk and the upstream gradient of the
+            # query side.  The block sign is applied to these small results:
+            # (-A) @ B == -(A @ B) bit for bit, and a zero whose sign differs
+            # adds nothing to the zero-initialized gradient.
+            dcandidate = dscores.T @ partial  # (candidates, chunk)
+            upstream = dscores @ cand  # (batch, chunk)
+            if sign < 0:
+                np.negative(dcandidate, out=dcandidate)
+                np.negative(upstream, out=upstream)
+            candidate_grads = grads["entities"][:, chunk_slice(candidate_chunk)]
+            if unique_candidates:
+                candidate_grads[candidate_index] += dcandidate
+            else:
+                np.add.at(candidate_grads, candidate_index, dcandidate)
             # d score / d query-entity chunk and / d relation chunk
             np.add.at(
                 grads["entities"][:, chunk_slice(query_chunk)],
@@ -351,6 +369,8 @@ class RESCAL(ScoringFunction):
         queries: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -363,7 +383,7 @@ class RESCAL(ScoringFunction):
             transformed = np.einsum("bi,bij->bj", query_entities, rel_matrices)
         else:
             transformed = np.einsum("bj,bij->bi", query_entities, rel_matrices)
-        return transformed @ candidate_rows.T
+        return np.matmul(transformed, candidate_rows.T, out=out)
 
     def grad_candidates(
         self,
@@ -372,6 +392,8 @@ class RESCAL(ScoringFunction):
         dscores: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[ParamDict] = None,
+        workspace: Optional[Workspace] = None,
     ) -> ParamDict:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -384,7 +406,7 @@ class RESCAL(ScoringFunction):
         rel_matrices = relations[query_relation_index]
         dscores = np.asarray(dscores, dtype=np.float64)
 
-        grads = self.zero_grads(params)
+        grads = self.zero_grads(params, out)
         if direction == TAIL:
             transformed = np.einsum("bi,bij->bj", query_entities, rel_matrices)
             # scores = transformed @ candidate_rows.T

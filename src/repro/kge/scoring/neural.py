@@ -27,6 +27,7 @@ from repro.kge.scoring.base import (
     check_triples,
     validate_direction,
 )
+from repro.kge.workspace import Workspace
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -112,6 +113,8 @@ class MLPScoringFunction(ScoringFunction):
         queries: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -120,7 +123,7 @@ class MLPScoringFunction(ScoringFunction):
         candidate_rows = entities[candidate_index]
         inputs = np.concatenate([entities[queries[:, 0]], relations[queries[:, 1]]], axis=1)
         combined, _hidden = self._forward(params, self._network_for(direction), inputs)
-        return combined @ candidate_rows.T
+        return np.matmul(combined, candidate_rows.T, out=out)
 
     def grad_candidates(
         self,
@@ -129,6 +132,8 @@ class MLPScoringFunction(ScoringFunction):
         dscores: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[ParamDict] = None,
+        workspace: Optional[Workspace] = None,
     ) -> ParamDict:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -143,7 +148,7 @@ class MLPScoringFunction(ScoringFunction):
         inputs = np.concatenate([query_entities, query_relations], axis=1)
         combined, hidden = self._forward(params, prefix, inputs)
 
-        grads = self.zero_grads(params)
+        grads = self.zero_grads(params, out)
         # scores = combined @ candidate_rows.T
         np.add.at(grads["entities"], candidate_index, dscores.T @ combined)
         dcombined = dscores @ candidate_rows

@@ -31,6 +31,7 @@ from repro.kge.scoring.base import (
     check_triples,
     validate_direction,
 )
+from repro.kge.workspace import Workspace
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -82,6 +83,8 @@ class TransE(ScoringFunction):
         queries: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -89,7 +92,7 @@ class TransE(ScoringFunction):
         candidate_rows = params["entities"][candidate_index]
         query_vectors = self._query_vectors(params, queries, direction)
         diff = query_vectors[:, None, :] - candidate_rows[None, :, :]
-        return -self._distance(diff)
+        return np.negative(self._distance(diff), out=out)
 
     def grad_candidates(
         self,
@@ -98,6 +101,8 @@ class TransE(ScoringFunction):
         dscores: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[ParamDict] = None,
+        workspace: Optional[Workspace] = None,
     ) -> ParamDict:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -110,7 +115,7 @@ class TransE(ScoringFunction):
         # score = -distance(diff); d score / d diff = -distance'(diff)
         ddiff = -self._distance_grad(diff) * dscores[:, :, None]
 
-        grads = self.zero_grads(params)
+        grads = self.zero_grads(params, out)
         dquery = np.sum(ddiff, axis=1)  # (batch, d)
         dcandidate = -np.sum(ddiff, axis=0)  # (num_candidates, d)
         np.add.at(grads["entities"], candidate_index, dcandidate)
@@ -260,6 +265,8 @@ class RotatE(ScoringFunction):
         queries: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -267,7 +274,7 @@ class RotatE(ScoringFunction):
         candidate_rows = params["entities"][candidate_index]
         query_vectors = self._query_vectors(params, queries, direction)
         diff = query_vectors[:, None, :] - candidate_rows[None, :, :]
-        return -np.sum(self._modulus(diff), axis=-1)
+        return np.negative(np.sum(self._modulus(diff), axis=-1), out=out)
 
     def grad_candidates(
         self,
@@ -276,6 +283,8 @@ class RotatE(ScoringFunction):
         dscores: np.ndarray,
         direction: str = TAIL,
         candidates: Optional[np.ndarray] = None,
+        out: Optional[ParamDict] = None,
+        workspace: Optional[Workspace] = None,
     ) -> ParamDict:
         queries = check_queries(queries)
         validate_direction(direction)
@@ -294,7 +303,7 @@ class RotatE(ScoringFunction):
         dquery = np.sum(ddiff, axis=1)  # (batch, d)
         dcandidate = -np.sum(ddiff, axis=0)  # (num_candidates, d)
 
-        grads = self.zero_grads(params)
+        grads = self.zero_grads(params, out)
         np.add.at(grads["entities"], candidate_index, dcandidate)
 
         # Backpropagate the rotation into the query entity and the phases.

@@ -193,7 +193,25 @@ class Trainer:
         counts evaluations without improvement, not epochs: with
         ``eval_every=e`` and ``early_stopping_patience=p`` training stops
         ``e * p`` epochs after the best evaluation at the earliest.
+
+        The engine holds one scratch workspace for the whole fit (see
+        :meth:`repro.kge.engine.TrainEngine.fitting`): the first mini-batch
+        allocates the dense gradient and every temporary of the update, later
+        ones reuse them in place, and the workspace is dropped when ``fit``
+        returns or raises.  Reuse never reorders a float operation, so the
+        result is bit for bit that of allocating afresh on every step.
         """
+        with self.engine.fitting():
+            return self._fit(graph, params, validation_callback, stream)
+
+    def _fit(
+        self,
+        graph: Optional[KnowledgeGraph],
+        params: Optional[ParamDict],
+        validation_callback: Optional[Callable[[ParamDict], float]],
+        stream: Optional["TripleStreamLike"],
+    ) -> tuple:
+        """The body of :meth:`fit`, run while the engine holds its workspace."""
         if graph is None and stream is None:
             raise ValueError("fit needs a graph, a stream, or both")
         if params is None:

@@ -2,6 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from train_step_oracle import (
+    AllocatingAdagrad,
+    AllocatingAdam,
+    AllocatingL2,
+    AllocatingN3,
+    AllocatingSGD,
+)
 
 from repro.datasets import GeneratorProfile, generate_knowledge_graph
 from repro.kge.negative_sampling import BernoulliNegativeSampler, UniformNegativeSampler
@@ -19,6 +28,7 @@ from repro.kge.regularizers import (
     NoRegularizer,
     get_regularizer,
 )
+from repro.kge.workspace import Workspace
 
 
 def quadratic_params():
@@ -372,6 +382,131 @@ class TestOptimizerSnapshot:
             assert not np.array_equal(
                 restored._state[key]["sum_squares"], optimizer._state[key]["sum_squares"]
             )
+
+
+#: (workspace implementation, allocating oracle) per optimizer and regularizer.
+OPTIMIZER_PAIRS = {
+    "sgd": (lambda: SGD(0.1), lambda: AllocatingSGD(0.1)),
+    "adagrad": (lambda: Adagrad(0.3), lambda: AllocatingAdagrad(0.3)),
+    "adam": (lambda: Adam(0.2), lambda: AllocatingAdam(0.2)),
+}
+REGULARIZER_PAIRS = {
+    "l2": (lambda: L2Regularizer(0.05), lambda: AllocatingL2(0.05)),
+    "n3": (lambda: N3Regularizer(0.05), lambda: AllocatingN3(0.05)),
+    "none": (NoRegularizer, NoRegularizer),
+}
+
+
+def _random_sparse_grads(rng, params):
+    """Row-sparse gradients: some rows untouched, some exactly zero."""
+    grads = {}
+    for key, value in params.items():
+        rows = value.shape[0]
+        indices = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False))
+        block = rng.normal(size=(indices.size,) + value.shape[1:])
+        block[rng.random(indices.size) < 0.2] = 0.0
+        grads[key] = (indices, block)
+    return grads
+
+
+class TestWorkspaceStepParity:
+    """The in-place step equals the allocating expressions bit for bit."""
+
+    @pytest.mark.property
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        optimizer=st.sampled_from(sorted(OPTIMIZER_PAIRS)),
+        regularizer=st.sampled_from(sorted(REGULARIZER_PAIRS)),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5)),
+            min_size=2, max_size=2,
+        ),
+        steps=st.integers(20, 30),
+        snapshot_at=st.integers(0, 19),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_allocating_oracle(
+        self, optimizer, regularizer, shapes, steps, snapshot_at, seed
+    ):
+        rng = np.random.default_rng(seed)
+        make_optimizer, make_oracle_optimizer = OPTIMIZER_PAIRS[optimizer]
+        make_regularizer, make_oracle_regularizer = REGULARIZER_PAIRS[regularizer]
+        # One workspace across both fits, so the second fit's shapes reuse
+        # (and regrow) the first fit's buffers.
+        workspace = Workspace()
+        for entities, relations, dimension in shapes:
+            params = {
+                "entities": rng.normal(size=(entities, dimension)),
+                "relations": rng.normal(size=(relations, dimension)),
+            }
+            oracle_params = {key: value.copy() for key, value in params.items()}
+            sparse_params = {key: value.copy() for key, value in params.items()}
+            opt, oracle = make_optimizer(), make_oracle_optimizer()
+            sparse_opt = make_optimizer()
+            reg, oracle_reg = make_regularizer(), make_oracle_regularizer()
+            checkpoint = None
+            for step in range(steps):
+                sparse = _random_sparse_grads(rng, params)
+                dense = densify_sparse_grads(params, sparse)
+                grads = {key: value.copy() for key, value in dense.items()}
+                oracle_grads = {key: value.copy() for key, value in dense.items()}
+                reg.add_gradients(params, grads, workspace)
+                oracle_reg.add_gradients(oracle_params, oracle_grads)
+                for key in grads:
+                    assert grads[key].tobytes() == oracle_grads[key].tobytes()
+                opt.step(params, grads, workspace)
+                oracle.step(oracle_params, oracle_grads)
+                for key in params:
+                    assert params[key].tobytes() == oracle_params[key].tobytes()
+
+                if regularizer == "none" and optimizer != "adam":
+                    # step_sparse == the dense step on the zero-padded gradient.
+                    sparse_opt.step_sparse(sparse_params, sparse)
+                    for key in params:
+                        assert sparse_params[key].tobytes() == params[key].tobytes()
+
+                if step == snapshot_at:
+                    checkpoint = (
+                        {key: value.copy() for key, value in params.items()},
+                        opt.snapshot(),
+                        oracle.snapshot(),
+                    )
+                    held = _snapshot_arrays(checkpoint[1])
+                    assert not any(
+                        np.shares_memory(array, buffer)
+                        for array in held
+                        for buffer in workspace._buffers.values()
+                    )
+
+            # Rewind both to the checkpoint and replay one step.
+            saved, state, oracle_state = checkpoint
+            opt.restore(state)
+            oracle.restore(oracle_state)
+            params = {key: value.copy() for key, value in saved.items()}
+            oracle_params = {key: value.copy() for key, value in saved.items()}
+            dense = densify_sparse_grads(params, _random_sparse_grads(rng, params))
+            opt.step(params, {key: value.copy() for key, value in dense.items()}, workspace)
+            oracle.step(oracle_params, dense)
+            for key in params:
+                assert params[key].tobytes() == oracle_params[key].tobytes()
+
+    def test_step_without_workspace_uses_call_scratch(self):
+        params = {"w": np.array([1.0, -2.0])}
+        oracle_params = {"w": params["w"].copy()}
+        Adagrad(0.3).step(params, {"w": np.array([0.3, 0.0])})
+        AllocatingAdagrad(0.3).step(oracle_params, {"w": np.array([0.3, 0.0])})
+        assert params["w"].tobytes() == oracle_params["w"].tobytes()
+
+
+def _snapshot_arrays(snapshot):
+    arrays, pending = [], [snapshot]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, np.ndarray):
+            arrays.append(item)
+    return arrays
 
 
 class TestNegativeSamplers:

@@ -1,10 +1,14 @@
 """Tests for the training engine (multi-class kernel vs reference parity)."""
 
+import threading
+
 import numpy as np
 import pytest
+from train_step_oracle import oracle_trainer
 
 from repro.kge.engine import ReferenceTrainEngine, TrainEngine, entity_chunks
 from repro.kge.losses import MulticlassLoss, StreamingMulticlass, multiclass_inplace
+from repro.kge.regularizers import L2Regularizer, N3Regularizer, NoRegularizer
 from repro.kge.scoring import BlockScoringFunction, classical_structure
 from repro.kge.scoring.bilinear import RESCAL
 from repro.kge.scoring.blocks import BlockStructure
@@ -226,3 +230,154 @@ class TestTrainingTelemetry:
         text = obs_metrics.render_prometheus(registry)
         assert f'repro_train_epochs_total{{loss="{label}"}} 2' in text
         assert "engine=" not in text
+
+
+def _workspace_config(**overrides):
+    settings = dict(
+        # A learning rate that is not a power of two, so a reordered
+        # product in the update changes bits.
+        dimension=8, epochs=3, batch_size=64, learning_rate=0.3, l2_penalty=1e-3,
+        negative_samples=4, eval_every=1, seed=0,
+    )
+    settings.update(overrides)
+    return TrainingConfig(**settings)
+
+
+def _assert_bitwise_equal(left, right):
+    assert left.keys() == right.keys()
+    for key in left:
+        assert left[key].dtype == right[key].dtype and left[key].shape == right[key].shape
+        assert left[key].tobytes() == right[key].tobytes(), key
+
+
+def _arrays_held_by(root):
+    """Every ndarray reachable from ``root`` through attributes and containers."""
+    seen, pending, arrays = set(), [root], []
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, (list, tuple, set)):
+            pending.extend(item)
+        elif hasattr(item, "__dict__"):
+            pending.extend(vars(item).values())
+    return arrays
+
+
+class TestWorkspaceParity:
+    """A fit on the per-fit workspace equals the allocating step bit for bit."""
+
+    @staticmethod
+    def _fits(graph, factory, config, regularizer=None):
+        # A validation score that moves with the parameters makes both fits
+        # snapshot and restore the optimizer state mid-run.
+        def validate(params):
+            return float(params["entities"][0, 0])
+
+        runs = []
+        for build in (Trainer, oracle_trainer):
+            params, history = build(factory(), config, regularizer=regularizer).fit(
+                graph, validation_callback=validate
+            )
+            runs.append((params, history))
+        return runs
+
+    @pytest.mark.parametrize("family", ["simple", "complex", "six-blocks", "transe"])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge", "multiclass"])
+    @pytest.mark.parametrize("chunk", [0, 7])
+    def test_fit_matches_allocating_oracle(self, tiny_graph, family, loss, chunk):
+        config = _workspace_config(loss=loss, score_chunk_size=chunk)
+        (params, history), (oracle_params, oracle_history) = self._fits(
+            tiny_graph, SCORING_FACTORIES[family], config
+        )
+        assert history.losses == oracle_history.losses
+        assert history.validation_mrr == oracle_history.validation_mrr
+        _assert_bitwise_equal(params, oracle_params)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad", "adam"])
+    @pytest.mark.parametrize(
+        "regularizer",
+        [L2Regularizer(1e-3), N3Regularizer(1e-3), NoRegularizer()],
+        ids=["l2", "n3", "none"],
+    )
+    def test_optimizers_and_regularizers_match_oracle(self, tiny_graph, optimizer, regularizer):
+        config = _workspace_config(loss="logistic", optimizer=optimizer)
+        (params, history), (oracle_params, oracle_history) = self._fits(
+            tiny_graph, SCORING_FACTORIES["six-blocks"], config, regularizer
+        )
+        assert history.losses == oracle_history.losses
+        _assert_bitwise_equal(params, oracle_params)
+
+
+class TestWorkspaceLifetime:
+    def test_fit_leaves_no_workspace_array(self, tiny_graph):
+        seen = []
+
+        class RecordingEngine(TrainEngine):
+            def train_step(self, trainer, params, batch):
+                seen.append(self.workspace)
+                return super().train_step(trainer, params, batch)
+
+        trainer = Trainer(
+            SCORING_FACTORIES["simple"](),
+            _workspace_config(loss="logistic", optimizer="adam"),
+            engine=RecordingEngine(),
+        )
+        params, _ = trainer.fit(tiny_graph, validation_callback=lambda p: 0.0)
+        assert trainer.engine.workspace is None
+        assert len({id(workspace) for workspace in seen}) == 1 and seen[0] is not None
+        buffers = list(seen[0]._buffers.values())
+        assert buffers, "the fit never used its workspace"
+        held = _arrays_held_by(trainer) + list(params.values())
+        assert not any(np.shares_memory(array, buffer) for array in held for buffer in buffers)
+
+        # The next fit gets a workspace of its own.
+        trainer.fit(tiny_graph, params=params)
+        assert seen[-1] is not seen[0] and trainer.engine.workspace is None
+
+    def test_failed_fit_drops_its_workspace(self, tiny_graph):
+        trainer = Trainer(SCORING_FACTORIES["simple"](), _workspace_config(loss="hinge"))
+
+        def fail(_params):
+            raise RuntimeError("validation failed")
+
+        with pytest.raises(RuntimeError, match="validation failed"):
+            trainer.fit(tiny_graph, validation_callback=fail)
+        assert trainer.engine.workspace is None
+
+    def test_engine_runs_one_fit_at_a_time(self):
+        engine = TrainEngine()
+        with engine.fitting():
+            with pytest.raises(RuntimeError, match="already running a fit"):
+                with engine.fitting():
+                    pass
+        assert engine.workspace is None
+
+    def test_two_threads_match_their_solo_fits(self, tiny_graph):
+        jobs = [
+            ("six-blocks", _workspace_config(loss="logistic", seed=1)),
+            ("complex", _workspace_config(loss="hinge", optimizer="adam", seed=2)),
+        ]
+        solo = [Trainer(SCORING_FACTORIES[name](), config).fit(tiny_graph)[0]
+                for name, config in jobs]
+        results = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def run(index):
+            name, config = jobs[index]
+            trainer = Trainer(SCORING_FACTORIES[name](), config)
+            barrier.wait()
+            results[index] = trainer.fit(tiny_graph)[0]
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for alone, threaded in zip(solo, results):
+            _assert_bitwise_equal(threaded, alone)
