@@ -6,8 +6,9 @@ This package implements the paper's contribution proper:
   block-matrix space (Definition 2);
 * :mod:`repro.core.constraints` — expressiveness (C1) and non-degeneracy
   (C2) constraints (Sec. IV-A1);
-* :mod:`repro.core.invariance` — the 9,216-element invariance group and
-  canonical forms (Sec. IV-A2);
+* :mod:`repro.core.invariance` — the 9,216-element invariance group, applied
+  to a structure's substitute matrix in one vectorized step, and the
+  canonical forms and orbit codes built on it (Sec. IV-A2);
 * :mod:`repro.core.srf` — symmetry-related features (Appendix C);
 * :mod:`repro.core.filters` / :mod:`repro.core.predictor` — the filter Q and
   predictor P of Alg. 2, whose stage logic is the ``greedy`` strategy of
@@ -48,8 +49,7 @@ from repro.core.invariance import (
     canonical_form,
     canonical_key,
     distinct_representatives,
-    orbit,
-    orbit_set,
+    orbit_codes,
 )
 from repro.core.predictor import PerformancePredictor, get_feature_extractor
 from repro.core.search_space import (
@@ -103,8 +103,7 @@ __all__ = [
     "canonical_form",
     "canonical_key",
     "distinct_representatives",
-    "orbit",
-    "orbit_set",
+    "orbit_codes",
     "PerformancePredictor",
     "get_feature_extractor",
     "enumerate_f4_structures",

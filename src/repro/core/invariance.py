@@ -14,14 +14,20 @@ structures in the same orbit wastes a full model-training run, so the filter
 deduplicates candidates by their *canonical form*: the lexicographically
 smallest substitute matrix over the whole orbit.
 
-The orbit is enumerated with precomputed NumPy lookups, which keeps the cost
-of canonicalizing one candidate well under a millisecond.
+The group action has one implementation: one gather applies the 24 entity
+permutations to a substitute matrix, and one table lookup applies the 384
+(relation permutation, sign flips) pairs, giving all 9,216 images at once.
+:func:`canonical_matrix` takes the smallest of their base-9 codes, well under
+a millisecond per candidate; :func:`orbit_codes` returns them all, which is
+how :func:`repro.core.search_space.enumerate_f4_structures` strikes out each
+f4 seed's orbit.  ``tests/invariance_oracle.py`` keeps a per-element Python
+version of the action as the parity oracle.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterator, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -80,59 +86,43 @@ _ENTITY_PERMUTATION_GATHER = np.stack(
 _ENCODING_POWERS = (2 * NUM_CHUNKS + 1) ** np.arange(NUM_CHUNKS * NUM_CHUNKS - 1, -1, -1, dtype=np.int64)
 
 
-def entity_permutation(structure: BlockStructure, perm: Tuple[int, ...]) -> BlockStructure:
-    """Apply an entity-chunk permutation (rows and columns simultaneously)."""
-    return BlockStructure(
-        [(perm[row], perm[col], component, sign) for row, col, component, sign in structure.blocks]
-    )
+def matrix_codes(matrices: np.ndarray) -> np.ndarray:
+    """Base-9 codes of flat substitute matrices, one per row.
 
-
-def relation_permutation(structure: BlockStructure, perm: Tuple[int, ...]) -> BlockStructure:
-    """Apply a relation-chunk permutation (rename which r_k fills each block)."""
-    return BlockStructure(
-        [(row, col, perm[component], sign) for row, col, component, sign in structure.blocks]
-    )
-
-
-def sign_flip(structure: BlockStructure, flips: Tuple[int, ...]) -> BlockStructure:
-    """Flip the signs of selected relation chunks."""
-    return BlockStructure(
-        [(row, col, component, sign * flips[component]) for row, col, component, sign in structure.blocks]
-    )
-
-
-def orbit(structure: BlockStructure) -> Iterator[BlockStructure]:
-    """Yield every structure equivalent to ``structure`` (with repetitions).
-
-    The full orbit has at most 9,216 members; some group elements map the
-    structure to itself, so fewer *distinct* structures may be produced.
+    Values are shifted to ``0..8`` and read as the digits of one integer
+    (``9^16`` fits comfortably in int64), so comparing codes compares the
+    matrices lexicographically and equal codes mean equal matrices.
     """
-    for entity_perm in _PERMUTATIONS:
-        permuted = entity_permutation(structure, entity_perm)
-        for relation_perm in _PERMUTATIONS:
-            renamed = relation_permutation(permuted, relation_perm)
-            for flips in _SIGN_FLIPS:
-                yield sign_flip(renamed, flips)
+    return (np.asarray(matrices, dtype=np.int64) + NUM_CHUNKS) @ _ENCODING_POWERS
 
 
-def orbit_set(structure: BlockStructure) -> Set[Tuple]:
-    """The distinct members of the orbit as hashable block tuples."""
-    return {member.key() for member in orbit(structure)}
+def _orbit_matrices(flat: np.ndarray) -> np.ndarray:
+    """The ``(9216, 16)`` images of a flat substitute matrix, one per group element.
+
+    Rows run over (relation permutation, sign flips) outermost and entity
+    permutation innermost; an image repeats when the group element maps the
+    structure to itself.
+    """
+    # Apply all 24 entity permutations (rows and columns) with one gather.
+    permuted = flat[_ENTITY_PERMUTATION_GATHER]  # (24, 16)
+    # Apply every (relation permutation, sign flip) value lookup to every
+    # entity-permuted matrix: (384, 24, 16) -> (9216, 16).
+    return _VALUE_LOOKUPS[:, permuted + NUM_CHUNKS].reshape(-1, flat.size)
+
+
+def orbit_codes(matrix: np.ndarray) -> np.ndarray:
+    """The ``(9216,)`` :func:`matrix_codes` of every group image of ``matrix``.
+
+    ``matrix`` is a substitute matrix (4x4 or flat); the orbit of the
+    structure it describes is the set of distinct codes.
+    """
+    return matrix_codes(_orbit_matrices(np.asarray(matrix, dtype=np.int64).ravel()))
 
 
 def canonical_matrix(structure: BlockStructure) -> np.ndarray:
     """Lexicographically smallest substitute matrix over the orbit."""
-    flat = structure.substitute_matrix().ravel()
-    # Apply all 24 entity permutations (rows and columns) with one gather.
-    flattened = flat[_ENTITY_PERMUTATION_GATHER]  # (24, 16)
-    # Apply every (relation permutation, sign flip) value lookup to every
-    # entity-permuted matrix: result is (384, 24, 16) -> (9216, 16).
-    transformed = _VALUE_LOOKUPS[:, flattened + NUM_CHUNKS]
-    candidates = transformed.reshape(-1, flat.size)
-    # Lexicographic comparison via a base-9 integer encoding of each row
-    # (values shifted to 0..8; 9^16 fits comfortably in int64).
-    encoded = (candidates + NUM_CHUNKS) @ _ENCODING_POWERS
-    return candidates[int(np.argmin(encoded))].reshape(NUM_CHUNKS, NUM_CHUNKS)
+    images = _orbit_matrices(structure.substitute_matrix().ravel())
+    return images[int(np.argmin(matrix_codes(images)))].reshape(NUM_CHUNKS, NUM_CHUNKS)
 
 
 def canonical_key(structure: BlockStructure) -> Tuple[int, ...]:

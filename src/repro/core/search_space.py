@@ -5,9 +5,12 @@ Two generation modes are needed by the search algorithm:
 * **the f4 seed set** — with exactly four non-zero blocks, constraint (C2)
   forces every row and column to hold exactly one block and every relation
   chunk to be used exactly once, so candidates are (cell permutation,
-  component permutation, sign pattern) triples.  Enumerating all of them and
-  deduplicating by invariance leaves only a handful of genuinely different
-  starting points (the paper reports five);
+  component permutation, sign pattern) triples.  All 9,216 are built as one
+  array; deduplication repeatedly takes the first live candidate as a seed
+  and strikes out its whole orbit, compared as base-9 codes from
+  :func:`repro.core.invariance.orbit_codes`.  That leaves only a handful of
+  genuinely different starting points (the paper reports five), found in
+  five vectorized steps;
 * **greedy extensions** — an f^{b} candidate is a parent f^{b-2} plus two
   extra blocks ``s <h_i, r_j, t_k>`` in previously empty cells (Eq. 7).
 
@@ -23,12 +26,30 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.core.constraints import satisfies_c2
-from repro.core.invariance import orbit_set
+from repro.core.invariance import matrix_codes, orbit_codes
 from repro.kge.scoring.blocks import NUM_CHUNKS, Block, BlockStructure
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Total number of cells in the block matrix.
 NUM_CELLS = NUM_CHUNKS * NUM_CHUNKS
+
+
+def _f4_blocks() -> np.ndarray:
+    """The 9,216 (C2) four-block fillings as a ``(9216, 4, 4)`` block array.
+
+    Entry ``[n, row]`` is the ``(row, col, component, sign)`` block of row
+    ``row`` in candidate ``n``; candidates run over (cell permutation,
+    component permutation, sign pattern) in :mod:`itertools` order, the
+    cell permutation outermost.
+    """
+    perms = np.array(list(permutations(range(NUM_CHUNKS))), dtype=np.int64)
+    signs = np.array(list(product((1, -1), repeat=NUM_CHUNKS)), dtype=np.int64)
+    blocks = np.empty((len(perms), len(perms), len(signs), NUM_CHUNKS, 4), dtype=np.int64)
+    blocks[..., 0] = np.arange(NUM_CHUNKS)
+    blocks[..., 1] = perms[:, None, None, :]
+    blocks[..., 2] = perms[None, :, None, :]
+    blocks[..., 3] = signs[None, None, :, :]
+    return blocks.reshape(-1, NUM_CHUNKS, 4)
 
 
 def enumerate_f4_structures(deduplicate: bool = True) -> List[BlockStructure]:
@@ -39,25 +60,26 @@ def enumerate_f4_structures(deduplicate: bool = True) -> List[BlockStructure]:
     are free.  That gives ``4! * 4! * 2^4 = 9,216`` raw candidates, which
     collapse to a handful of equivalence classes under the invariance group.
     Every candidate built this way satisfies (C2), so none is checked.
+
+    Deduplication keeps the first candidate of each orbit in raw order: the
+    first live candidate becomes a seed and its whole orbit (as
+    :func:`~repro.core.invariance.orbit_codes`) is struck out, until no
+    candidate is live.  Only the seeds are turned into structures.
     """
-    structures: List[BlockStructure] = []
-    seen_orbit_keys: set = set()
-    for cell_perm in permutations(range(NUM_CHUNKS)):
-        for component_perm in permutations(range(NUM_CHUNKS)):
-            for signs in product((1, -1), repeat=NUM_CHUNKS):
-                blocks: List[Block] = [
-                    (row, cell_perm[row], component_perm[row], signs[row])
-                    for row in range(NUM_CHUNKS)
-                ]
-                structure = BlockStructure(blocks)
-                if deduplicate:
-                    # Marking the accepted representative's whole orbit makes
-                    # rejecting its 9,215 equivalents an O(1) set lookup.
-                    if structure.key() in seen_orbit_keys:
-                        continue
-                    seen_orbit_keys.update(orbit_set(structure))
-                structures.append(structure)
-    return structures
+    blocks = _f4_blocks()
+    if not deduplicate:
+        return [BlockStructure(candidate) for candidate in blocks.tolist()]
+    rows, cols, components, signs = np.moveaxis(blocks, -1, 0)
+    matrices = np.zeros((len(blocks), NUM_CELLS), dtype=np.int64)
+    np.put_along_axis(matrices, rows * NUM_CHUNKS + cols, signs * (components + 1), axis=1)
+    codes = matrix_codes(matrices)
+    live = np.ones(len(codes), dtype=bool)
+    seeds: List[BlockStructure] = []
+    while live.any():
+        first = int(np.argmax(live))
+        seeds.append(BlockStructure(blocks[first].tolist()))
+        live &= ~np.isin(codes, orbit_codes(matrices[first]))
+    return seeds
 
 
 def random_block(rng: RngLike = None, exclude_cells: Optional[Sequence] = None) -> Block:

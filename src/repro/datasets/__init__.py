@@ -37,7 +37,6 @@ from repro.datasets.pipeline import (
     build_filter_index,
     entities_by_relation,
     ingest_tsv,
-    stream_epoch_reference,
     write_store,
 )
 from repro.datasets.registry import (
@@ -73,7 +72,6 @@ __all__ = [
     "build_filter_index",
     "entities_by_relation",
     "ingest_tsv",
-    "stream_epoch_reference",
     "write_store",
     "BENCHMARK_PROFILES",
     "available_benchmarks",

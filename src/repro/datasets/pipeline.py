@@ -17,7 +17,7 @@ million).  This module provides the on-disk counterpart:
 * :class:`TripleStream` — a deterministic shuffled mini-batch iterator over
   a store split.  Shuffling is two-level (shard visiting order, then a
   permutation inside each shard), so peak memory is one shard regardless of
-  split size; :func:`stream_epoch_reference` is the independent in-memory
+  split size; ``tests/stream_oracle.py`` replays an epoch in memory as the
   oracle that must produce bit-identical batches.
 * :func:`build_filter_index` / :func:`entities_by_relation` — shard-aware
   construction of the filtered-evaluation index and of the relation→entity
@@ -927,8 +927,8 @@ class TripleStream:
     materialized: peak memory is one permuted shard plus a partial-batch
     carry.  Batches that would straddle a shard boundary are completed
     across it, so every triple appears exactly once per epoch and batch
-    boundaries are bit-identical to the in-memory oracle
-    :func:`stream_epoch_reference`.
+    boundaries are bit-identical to the in-memory oracle in
+    ``tests/stream_oracle.py``.
 
     Compared to the seed in-memory pattern (global permutation + per-batch
     fancy indexing), the shard-local gather (``np.take`` of a ~1.5 MB
@@ -1021,48 +1021,6 @@ class TripleStream:
             f"{self.num_triples} triples, batch_size={self.batch_size}, "
             f"seed={self.seed})"
         )
-
-
-def stream_epoch_reference(
-    triples: np.ndarray,
-    shard_counts: Sequence[int],
-    batch_size: int,
-    seed: int,
-    epoch: int = 0,
-    drop_last: bool = False,
-) -> List[np.ndarray]:
-    """In-memory oracle for :meth:`TripleStream.epoch` — bit-identical batches.
-
-    Given the materialized split and the manifest's shard counts, replays
-    the same RNG stream (the epoch's shard visiting order, then the
-    per-shard mixing permutation draws) over global indices and slices the
-    concatenated order into batches.  Used by the tests and the pipeline
-    benchmark to assert exact batch-level parity between streaming and
-    in-memory iteration.
-    """
-    triples = np.asarray(triples)
-    counts = [int(count) for count in shard_counts]
-    if sum(counts) != triples.shape[0]:
-        raise DatasetError(
-            f"shard_counts sum to {sum(counts)} but the split holds {triples.shape[0]} triples"
-        )
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    rng = np.random.default_rng((int(seed), int(epoch)))
-    pieces: List[np.ndarray] = []
-    for shard_index in rng.permutation(len(counts)):
-        shard_index = int(shard_index)
-        pieces.append(
-            offsets[shard_index] + _epoch_shard_permutation(counts[shard_index], rng)
-        )
-    if pieces:
-        order = np.concatenate(pieces)
-    else:
-        order = np.zeros(0, dtype=np.int64)
-    batches: List[np.ndarray] = []
-    limit = order.shape[0] if not drop_last else (order.shape[0] // batch_size) * batch_size
-    for begin in range(0, limit, batch_size):
-        batches.append(triples[order[begin : begin + batch_size]])
-    return batches
 
 
 # ----------------------------------------------------------------------

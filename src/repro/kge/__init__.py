@@ -30,7 +30,6 @@ from repro.kge.topk import (
     mask_known_scores,
     select_predictions,
     top_k_indices,
-    top_k_reference,
 )
 from repro.kge.evaluation import (
     EvaluationResult,
@@ -57,7 +56,6 @@ __all__ = [
     "mask_known_scores",
     "select_predictions",
     "top_k_indices",
-    "top_k_reference",
     "EvaluationResult",
     "compute_ranks",
     "compute_ranks_reference",

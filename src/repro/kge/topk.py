@@ -9,7 +9,9 @@ the helpers below, so the two paths agree *exactly* — including on ties.
 Tie-breaking is canonical everywhere: candidates are ordered by descending
 score and, within equal scores, by ascending entity index.  That makes
 top-k results deterministic and independent of which selection algorithm
-produced them, which is what the engine-vs-oracle parity tests pin down.
+produced them, which is what the engine-vs-oracle parity tests pin down;
+``tests/topk_oracle.py`` keeps the full-sort selection they compare
+:func:`top_k_indices` against.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
     Uses :func:`np.argpartition` so the cost is ``O(n + t log t)`` with ``t``
     the number of candidates at or above the k-th score, instead of the
-    ``O(n log n)`` full sort of :func:`top_k_reference`.  Candidates tied at
-    the selection boundary are resolved canonically (lowest index wins), so
-    the result is identical to the full-sort reference for every input.
+    ``O(n log n)`` full sort.  Candidates tied at the selection boundary are
+    resolved canonically (lowest index wins), so the result is identical to
+    a full sort for every input.
     """
     scores = np.asarray(scores)
     if scores.ndim != 1:
@@ -49,17 +51,6 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     # lexsort uses the *last* key as primary: sort by -score, then index.
     order = np.lexsort((pool, -scores[pool]))
     return pool[order[:k]].astype(np.int64)
-
-
-def top_k_reference(scores: np.ndarray, k: int) -> np.ndarray:
-    """Full-sort reference for :func:`top_k_indices` (the parity oracle)."""
-    scores = np.asarray(scores)
-    if scores.ndim != 1:
-        raise ValueError("scores must be 1-D (one row of a score matrix)")
-    count = scores.shape[0]
-    k = max(0, min(int(k), count))
-    order = np.lexsort((np.arange(count), -scores))
-    return order[:k].astype(np.int64)
 
 
 def mask_known_scores(

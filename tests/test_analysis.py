@@ -1,6 +1,7 @@
 """Tests for the analysis package: case study, transfer matrix, reporting."""
 
 import pytest
+from invariance_oracle import sign_flip
 
 from repro.analysis import (
     CaseStudy,
@@ -12,7 +13,6 @@ from repro.analysis import (
 )
 from repro.analysis.case_study import equivalent_classical_model
 from repro.analysis.reporting import format_paper_comparison
-from repro.core.invariance import sign_flip
 from repro.core.search_space import random_structure
 from repro.datasets import dataset_statistics
 from repro.kge.scoring import classical_structure

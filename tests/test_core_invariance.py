@@ -2,6 +2,14 @@
 
 import numpy as np
 import pytest
+from invariance_oracle import (
+    encode_key,
+    entity_permutation,
+    orbit,
+    orbit_set,
+    relation_permutation,
+    sign_flip,
+)
 
 from repro.core.invariance import (
     are_equivalent,
@@ -9,11 +17,8 @@ from repro.core.invariance import (
     canonical_key,
     canonical_matrix,
     distinct_representatives,
-    entity_permutation,
-    orbit,
-    orbit_set,
-    relation_permutation,
-    sign_flip,
+    matrix_codes,
+    orbit_codes,
 )
 from repro.kge.scoring import BlockScoringFunction, BlockStructure, classical_structure
 
@@ -66,6 +71,28 @@ class TestOrbit:
         """DistMult is highly symmetric, so its orbit collapses heavily."""
         distmult = classical_structure("distmult")
         assert len(orbit_set(distmult)) < 9216
+
+
+class TestOrbitCodes:
+    """The vectorized orbit equals the per-element oracle's, encoded."""
+
+    @pytest.mark.parametrize(
+        "structure",
+        [classical_structure(name) for name in ("distmult", "complex", "analogy", "simple")]
+        + [
+            BlockStructure(
+                [(0, 0, 0, 1), (0, 2, 1, -1), (1, 1, 2, -1), (2, 3, 3, 1), (3, 0, 1, 1), (3, 2, 0, -1)]
+            )
+        ],
+        ids=["distmult", "complex", "analogy", "simple", "six_blocks"],
+    )
+    def test_orbit_codes_match_oracle(self, structure):
+        expected = {encode_key(key) for key in orbit_set(structure)}
+        codes = orbit_codes(structure.substitute_matrix())
+        assert codes.shape == (9216,)
+        assert set(codes.tolist()) == expected
+        assert encode_key(structure.key()) in expected
+        assert int(matrix_codes(np.array(canonical_key(structure)))) == min(expected)
 
 
 class TestCanonicalForm:

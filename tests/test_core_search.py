@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from invariance_oracle import sign_flip
 
 from repro.core.baselines import general_approximator_baseline
 from repro.core.evaluator import CandidateEvaluator
 from repro.core.hpo import HPOSpace, random_search_hpo, tpe_search_hpo
-from repro.core.invariance import sign_flip
 from repro.core.search_space import enumerate_f4_structures
 from repro.experiments import ExperimentSpec, SearchLoop, SearchResult, SearchSpec
 from repro.kge.scoring import classical_structure

@@ -1,11 +1,14 @@
 """Tests for search-space generation and the candidate filter."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from invariance_oracle import sign_flip
 
 from repro.core.constraints import satisfies_c2
 from repro.core.filters import CandidateFilter
-from repro.core.invariance import are_equivalent, canonical_key, sign_flip
+from repro.core.invariance import are_equivalent, canonical_key
 from repro.core.search_space import (
     NUM_CELLS,
     enumerate_f4_structures,
@@ -55,6 +58,14 @@ class TestF4Enumeration:
         raw = enumerate_f4_structures(deduplicate=False)
         assert len(raw) == 9216
         assert all(satisfies_c2(structure) for structure in raw)
+
+    def test_raw_order_pinned(self):
+        """Raw candidates run over (cell perm, component perm, signs), cell perm outermost."""
+        keys = [structure.key() for structure in enumerate_f4_structures(deduplicate=False)]
+        assert keys[0] == ((0, 0, 0, 1), (1, 1, 1, 1), (2, 2, 2, 1), (3, 3, 3, 1))
+        assert keys[-1] == ((0, 3, 3, -1), (1, 2, 2, -1), (2, 1, 1, -1), (3, 0, 0, -1))
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+        assert digest == "e7e31ebb153e51e7598dbe312077b594a62f8d543ac62c8a874dfa29e9264660"
 
 
 class TestRandomGeneration:

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from invariance_oracle import entity_permutation, relation_permutation, sign_flip
 
 from repro.core.constraints import check_structure, satisfies_c1, satisfies_c2
-from repro.core.invariance import entity_permutation, relation_permutation, sign_flip
 from repro.core.srf import (
     NUM_SRF_CASES,
     ONEHOT_DIMENSION,

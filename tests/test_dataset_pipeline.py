@@ -2,7 +2,7 @@
 
 The in-memory loaders are the exact parity oracles throughout: the chunked
 TSV ingester must reproduce ``load_tsv_dataset`` bit for bit, the stream
-must match :func:`stream_epoch_reference`, and the shard-aware index /
+must match ``stream_epoch_reference`` (``tests/stream_oracle.py``), and the shard-aware index /
 sampler builders must equal their in-memory constructions.
 """
 
@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from stream_oracle import stream_epoch_reference
 
 from repro.datasets import (
     DatasetError,
@@ -27,7 +28,6 @@ from repro.datasets import (
     ingest_tsv,
     load_benchmark,
     load_tsv_dataset,
-    stream_epoch_reference,
     write_tsv_dataset,
 )
 from repro.datasets.pipeline import MANIFEST_FILENAME, StoreWriter

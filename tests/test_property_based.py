@@ -2,20 +2,27 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 pytestmark = pytest.mark.property  # tier 2: run with --runslow
 from hypothesis import strategies as st
+from invariance_oracle import (
+    encode_key,
+    entity_permutation,
+    orbit_set,
+    relation_permutation,
+    sign_flip,
+)
 
 from repro.core.constraints import satisfies_c2
 from repro.core.invariance import (
     are_equivalent,
     canonical_form,
     canonical_key,
-    entity_permutation,
-    relation_permutation,
-    sign_flip,
+    matrix_codes,
+    orbit_codes,
 )
+from repro.core.search_space import random_structure
 from repro.core.srf import srf_features
 from repro.kge.losses import HingeLoss, LogisticLoss, MulticlassLoss
 from repro.kge.scoring import BlockScoringFunction, BlockStructure
@@ -48,6 +55,14 @@ def structures(draw, min_blocks=1, max_blocks=8):
         sign = draw(st.sampled_from([-1, 1]))
         blocks.append((row, col, component, sign))
     return BlockStructure(blocks)
+
+
+@st.composite
+def c2_structures(draw):
+    """Random structures of 4-16 blocks satisfying (C2), by rejection sampling."""
+    structure = random_structure(draw(st.integers(4, 16)), rng=draw(st.integers(0, 2**31 - 1)))
+    assume(structure is not None)
+    return structure
 
 
 permutation_strategy = st.permutations(list(range(NUM_CHUNKS)))
@@ -97,6 +112,14 @@ class TestInvarianceProperties:
             flips,
         )
         assert satisfies_c2(transformed) == satisfies_c2(structure)
+
+    @_settings
+    @given(st.one_of(structures(max_blocks=16), c2_structures()))
+    def test_orbit_codes_match_oracle(self, structure):
+        """The vectorized orbit is the oracle's orbit; the canonical key is its minimum."""
+        expected = {encode_key(key) for key in orbit_set(structure)}
+        assert set(orbit_codes(structure.substitute_matrix()).tolist()) == expected
+        assert int(matrix_codes(np.array(canonical_key(structure)))) == min(expected)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from topk_oracle import top_k_reference
 
 from repro.kge import train_model
 from repro.kge.topk import (
@@ -12,7 +13,6 @@ from repro.kge.topk import (
     select_predictions,
     select_predictions_batch,
     top_k_indices,
-    top_k_reference,
 )
 from repro.core.search_space import random_structure
 from repro.serving import (
