@@ -4,7 +4,8 @@
 This script keeps the kernel-level speedups that bench does not reach, each
 timed against the slower path it replaced:
 
-* filtered ranking: vectorized ``compute_ranks`` vs ``compute_ranks_reference``;
+* filtered ranking: vectorized ``compute_ranks`` vs ``compute_ranks_reference``,
+  the median of paired calls;
 * ingestion: ``ingest_tsv`` vs the line-by-line ``load_tsv_dataset``;
 * epoch iteration: ``TripleStream`` vs a global permutation plus gather;
 * chunked multi-class training: the engine with ``score_chunk_size`` vs
@@ -14,11 +15,18 @@ timed against the slower path it replaced:
   fit's workspace instead of allocating its temporaries every step;
 * serving telemetry: engine throughput with ``MetricsRegistry`` vs
   ``NullRegistry`` (at most 5% slower);
+* concurrent engine reads: two caller threads on one engine at the e2e
+  ``serve_live`` shape with one BLAS thread, vs the same engine behind one
+  lock, on a machine with at least 2 cores;
 * fleet scaling: QPS at 4 workers vs 1, on a machine with at least 4 cores;
 * parallel search: the e2e greedy-search recipe on ``--backend process`` with
   2 workers vs serial, on a machine with at least 2 cores and one BLAS
   thread per process, with both sides' peak RSS and a bit-parity check of
   their any-time curves.
+
+Timings that take milliseconds are paired: the two sides run back to back in
+alternating order, many times, and the claim is the median ratio, so drift
+and a stall on a shared machine hit one pair instead of one side.
 
 Run it from the repository root; it takes no flags::
 
@@ -26,8 +34,8 @@ Run it from the repository root; it takes no flags::
 
 It writes ``BENCH_speedups.json`` at the repository root: the revision, the
 environment (cores, Python, numpy and its BLAS, and the BLAS/OpenMP thread
-variables, recorded but obeyed only by the search claim, which sets them to 1
-for its own runs) and one ``{value, floor, verdict}``
+variables, recorded but obeyed only by the search and concurrent-read claims,
+which set them to 1 for their own processes) and one ``{value, floor, verdict}``
 record per claim, with the timings behind it.  Every value is a ratio where
 higher is better.  A verdict is ``pass``, ``fail`` or ``unmeasured
 (<premise>)`` when the machine cannot meet the claim's premise.  The exit
@@ -45,9 +53,11 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -55,6 +65,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.datasets import (
+    FilterIndex,
     GeneratorProfile,
     TripleStream,
     generate_knowledge_graph,
@@ -81,6 +92,7 @@ from repro.serving import (
     load_artifact,
     wait_until_healthy,
 )
+from repro.utils import blas
 from repro.utils.config import PredictorConfig, TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +129,25 @@ def best_of(repeats: int, slow, fast) -> tuple:
     return tuple(best)
 
 
+def paired_ratios(pairs: int, slow, fast) -> tuple:
+    """Seconds of ``slow(pair)`` over seconds of ``fast(pair)`` for each pair,
+    the two run back to back in alternating order, plus each side's total."""
+    ratios, totals = [], [0.0, 0.0]
+    for pair in range(pairs):
+        seconds = [0.0, 0.0]
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            started = time.perf_counter()
+            (slow, fast)[side](pair)
+            seconds[side] = time.perf_counter() - started
+            totals[side] += seconds[side]
+        ratios.append(seconds[0] / seconds[1])
+    return ratios, totals
+
+
+def quartiles(ratios) -> list:
+    return np.percentile(ratios, [25, 50, 75]).tolist()
+
+
 # ----------------------------------------------------------------------
 # Claims: each returns (value, floor, details)
 # ----------------------------------------------------------------------
@@ -124,15 +155,17 @@ def ranking_claim():
     graph = load_benchmark("yago310", scale=1.0)
     scoring = BlockScoringFunction(classical_structure("simple"))
     params, _ = Trainer(scoring, TRAINING.replace(epochs=2)).fit(graph)
-    scalar, vectorized = best_of(
-        3,
-        lambda: compute_ranks_reference(scoring, params, graph),
-        lambda: compute_ranks(scoring, params, graph),
+    compute_ranks(scoring, params, graph)  # warm
+    ratios, totals = paired_ratios(
+        21,
+        lambda _pair: compute_ranks_reference(scoring, params, graph),
+        lambda _pair: compute_ranks(scoring, params, graph),
     )
-    queries = 2 * graph.num_test
-    details = {"benchmark": graph.name, "entities": graph.num_entities, "queries": queries,
-               "vectorized_s": vectorized, "scalar_s": scalar}
-    return scalar / vectorized, 3.0, details
+    spread = quartiles(ratios)
+    details = {"benchmark": graph.name, "entities": graph.num_entities,
+               "queries": 2 * graph.num_test, "paired_calls": len(ratios),
+               "ratio_quartiles": spread, "scalar_s": totals[0], "vectorized_s": totals[1]}
+    return spread[1], 3.0, details
 
 
 def write_synthetic_tsv(directory: Path, num_train: int) -> None:
@@ -292,25 +325,21 @@ def telemetry_claim(artifact_dir: Path):
     # runs on both engines back to back, in alternating order, and the claim
     # is the median of those paired ratios: drift and a stall on a shared
     # machine hit one pair, not one side of a seconds-long run.
-    engines = [InferenceEngine.from_artifact(artifact, result_cache_size=0, registry=registry)
-               for registry in (NullRegistry(), MetricsRegistry())]
+    disabled, enabled = engines = [
+        InferenceEngine.from_artifact(artifact, result_cache_size=0, registry=registry)
+        for registry in (NullRegistry(), MetricsRegistry())
+    ]
     for engine in engines:
         engine.query_batch(batches[0], top_k=10)
-    ratios, totals = [], [0.0, 0.0]
-    for repeat in range(3):
-        for index, batch in enumerate(batches):
-            seconds = [0.0, 0.0]
-            for side in ((0, 1) if (repeat + index) % 2 == 0 else (1, 0)):
-                started = time.perf_counter()
-                engines[side].query_batch(batch, top_k=10)
-                seconds[side] = time.perf_counter() - started
-                totals[side] += seconds[side]
-            ratios.append(seconds[0] / seconds[1])
-    quartiles = np.percentile(ratios, [25, 50, 75])
+    ratios, totals = paired_ratios(
+        3 * len(batches),
+        lambda pair: disabled.query_batch(batches[pair % len(batches)], top_k=10),
+        lambda pair: enabled.query_batch(batches[pair % len(batches)], top_k=10),
+    )
+    spread = quartiles(ratios)
     details = {"queries": len(queries), "paired_batches": len(ratios),
-               "ratio_quartiles": quartiles.tolist(),
-               "disabled_s": totals[0], "enabled_s": totals[1]}
-    return float(quartiles[1]), 1 / 1.05, details
+               "ratio_quartiles": spread, "disabled_s": totals[0], "enabled_s": totals[1]}
+    return spread[1], 1 / 1.05, details
 
 
 def fleet_qps(artifact_dir: Path, workers: int, payloads) -> float:
@@ -365,6 +394,90 @@ def fleet_claim(artifact_dir: Path):
 
 
 # ----------------------------------------------------------------------
+# Concurrent engine reads: the e2e serve_live shape (benchmarks/e2e/workloads.py),
+# ComplEx at 50k entities x 64 with 200k known positives, 4-query filtered calls
+# ----------------------------------------------------------------------
+LIVE_ENTITIES, LIVE_RELATIONS, LIVE_DIMENSION, LIVE_TRIPLES = 50_000, 64, 64, 200_000
+LIVE_CALLERS, LIVE_CALLS_PER_CALLER, LIVE_QUERIES_PER_CALL = 2, 25, 4
+
+
+class SerializedEngine:
+    """An engine behind one lock, as it served before it had scoring slots."""
+
+    def __init__(self, engine: InferenceEngine) -> None:
+        self.engine = engine
+        self._lock = threading.Lock()
+
+    def query_batch(self, queries, top_k=10, filtered=False):
+        with self._lock:
+            return self.engine.query_batch(queries, top_k=top_k, filtered=filtered)
+
+
+def live_engine() -> InferenceEngine:
+    scoring = get_scoring_function("complex")
+    params = scoring.init_params(LIVE_ENTITIES, LIVE_RELATIONS, LIVE_DIMENSION, rng=0)
+    rng = np.random.default_rng(0)
+    known = np.stack([rng.integers(0, size, LIVE_TRIPLES)
+                      for size in (LIVE_ENTITIES, LIVE_RELATIONS, LIVE_ENTITIES)], axis=1)
+    return InferenceEngine(scoring, params, filter_index=FilterIndex.build(known, LIVE_RELATIONS))
+
+
+def live_rounds(count: int) -> list:
+    """``count`` rounds of calls, one list of 4-query calls per caller; no
+    query repeats, so no call is a result-cache hit."""
+    calls_per_round = LIVE_CALLERS * LIVE_CALLS_PER_CALLER
+    rng = np.random.default_rng(1)
+    codes = rng.choice(2 * LIVE_RELATIONS * LIVE_ENTITIES,
+                       size=count * calls_per_round * LIVE_QUERIES_PER_CALL, replace=False)
+    queries = [("tail" if code % 2 else "head", int(code // 2 % LIVE_ENTITIES),
+                int(code // 2 // LIVE_ENTITIES)) for code in codes]
+    calls = [queries[begin:begin + LIVE_QUERIES_PER_CALL]
+             for begin in range(0, len(queries), LIVE_QUERIES_PER_CALL)]
+    return [[calls[start + caller:start + calls_per_round:LIVE_CALLERS]
+             for caller in range(LIVE_CALLERS)]
+            for start in range(0, len(calls), calls_per_round)]
+
+
+def run_callers(engine, callers) -> None:
+    """Each caller's calls on its own thread, all started together."""
+
+    def caller(calls):
+        for queries in calls:
+            engine.query_batch(queries, top_k=10, filtered=True)
+
+    threads = [threading.Thread(target=caller, args=(calls,)) for calls in callers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
+def concurrency_claim():
+    if blas.available_cpus() < 2:
+        return None, 1.5, {"premise": "<2 cores"}
+    engine = live_engine()
+    serialized = SerializedEngine(engine)
+    pairs = 15
+    rounds = live_rounds(2 * pairs + 2)
+    run_callers(serialized, rounds.pop())  # warm both paths
+    run_callers(engine, rounds.pop())
+    ratios, totals = paired_ratios(
+        pairs,
+        lambda pair: run_callers(serialized, rounds[2 * pair]),
+        lambda pair: run_callers(engine, rounds[2 * pair + 1]),
+    )
+    spread = quartiles(ratios)
+    calls = pairs * LIVE_CALLERS * LIVE_CALLS_PER_CALLER
+    details = {"entities": LIVE_ENTITIES, "callers": LIVE_CALLERS,
+               "queries_per_call": LIVE_QUERIES_PER_CALL, "paired_rounds": pairs,
+               "blas_threads": blas.blas_threads(), "scoring_slots": engine.scoring_slots,
+               "ratio_quartiles": spread,
+               "serialized_calls_per_s": calls / totals[0],
+               "concurrent_calls_per_s": calls / totals[1]}
+    return spread[1], 1.5, details
+
+
+# ----------------------------------------------------------------------
 # Parallel search: the e2e search recipe (benchmarks/e2e/workloads.py) on
 # yago310-mini with a smaller budget
 # ----------------------------------------------------------------------
@@ -399,9 +512,6 @@ def search_run(backend: str) -> dict:
 def search_claim():
     if (os.cpu_count() or 1) < 2:
         return None, 1.3, {"premise": "<2 cores"}
-    # Two workers with a multi-threaded BLAS each oversubscribe two cores:
-    # on 2 vCPUs that made the process search slower than serial.
-    os.environ.update({name: "1" for name in THREAD_VARIABLES})
     runs = {"serial": [], "process": []}
     for _ in range(2):  # alternate, so drift hits both sides alike
         for backend, sides in runs.items():
@@ -452,6 +562,22 @@ def in_fresh_process(function, *args):
         return pool.submit(function, *args).result()
 
 
+@contextmanager
+def one_blas_thread():
+    """Processes started inside run one BLAS thread each: N processes (or N
+    scoring threads) with a multi-threaded BLAS each oversubscribe N cores."""
+    saved = {name: os.environ.get(name) for name in THREAD_VARIABLES}
+    os.environ.update({name: "1" for name in THREAD_VARIABLES})
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def record(claim, *args) -> dict:
     """Run one claim in a fresh interpreter and grade it.
 
@@ -479,7 +605,9 @@ def main() -> int:
         artifact_dir = serving_artifact(work)
         claims["serving.metrics_on_vs_off_throughput"] = record(telemetry_claim, artifact_dir)
         claims["serving.fleet_qps_4_vs_1_workers"] = record(fleet_claim, artifact_dir)
-        claims["search.process_vs_serial"] = record(search_claim)
+        with one_blas_thread():
+            claims["serving.concurrent_vs_serialized_engine"] = record(concurrency_claim)
+            claims["search.process_vs_serial"] = record(search_claim)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

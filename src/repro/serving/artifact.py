@@ -28,6 +28,7 @@ mysteriously at query time.  Loaded parameters are always read-only;
 
 from __future__ import annotations
 
+import mmap as _mmap
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -374,7 +375,7 @@ def _load_params(base: Path, manifest: Dict[str, object], mmap: bool) -> ParamDi
                 # worker process that opens the same artifact shares them.
                 array = np.load(path, mmap_mode="r")
             else:
-                array = np.load(path)
+                array = _read_npy_private(path)
                 array.flags.writeable = False
         except ValueError as error:
             raise ArtifactError(f"{prefix}: {relative} is not a valid .npy file ({error})") from error
@@ -387,6 +388,30 @@ def _load_params(base: Path, manifest: Dict[str, object], mmap: bool) -> ParamDi
                 f"but {PARAMS_DIRNAME}/{key}.npy holds {int(params[key].shape[0])}"
             )
     return params
+
+
+def _read_npy_private(path: Path) -> np.ndarray:
+    """A ``.npy`` file read into an anonymous memory mapping of its own.
+
+    A table as large as the entity embeddings that malloc places in the heap
+    leaves a hole there when a reload frees it; smaller allocations split the
+    hole, and the next generation's table then needs fresh memory.  A mapping
+    goes back to the OS as soon as its array is freed.
+    """
+    with open(path, "rb") as handle:
+        version = np.lib.format.read_magic(handle)
+        if version not in ((1, 0), (2, 0)):
+            return np.load(path)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(handle)
+        if dtype.hasobject:
+            return np.load(path)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        buffer = _mmap.mmap(-1, max(nbytes, 1))
+        if handle.readinto(memoryview(buffer)[:nbytes]) != nbytes:
+            raise ValueError(f"{path.name} holds fewer bytes than its header declares")
+    return np.ndarray(shape, dtype, buffer=buffer, order="F" if fortran_order else "C")
 
 
 def load_artifact(directory: PathLike, mmap: bool = False) -> ModelArtifact:

@@ -37,7 +37,10 @@ bulk:
 The engine never writes to its parameter arrays, so it is safe over the
 read-only memmap views a multi-worker fleet shares
 (``load_artifact(mmap=True)``); all mutable state (result cache, counters) is
-process-local and lock-protected.
+process-local and lock-protected.  The lock guards only that state: the
+threading HTTP server's handlers project, score, filter and select at the
+same time, in as many **scoring slots** as the cores hold BLAS pools
+(:func:`repro.utils.blas.scoring_slots`).
 
 The engine's scores are bit-identical to the candidate pass run per
 relation, and its rankings are *exactly* those of the naive path — same
@@ -60,6 +63,7 @@ from repro.kge.scoring.base import HEAD, TAIL, ParamDict, ScoringFunction, valid
 from repro.kge.topk import mask_known_scores, select_predictions_batch
 from repro.obs.metrics import AnyRegistry, get_registry
 from repro.serving.artifact import ModelArtifact
+from repro.utils.blas import scoring_slots
 from repro.utils.serialization import from_json_file, to_json_file
 from repro.utils.timing import TimingRecorder
 
@@ -174,7 +178,8 @@ class InferenceEngine:
     batch_size:
         Queries per micro-batch; the score slab is ``batch_size x
         num_entities`` floats, which for dot-product families is also the
-        peak transient memory.
+        peak transient memory of one call.  At most ``scoring_slots`` calls
+        score at once, so the engine's bound is that many slabs.
     entity_chunk_size:
         Optional entity-axis chunking for the scoring step (``0`` scores all
         entities at once).  Distance-based families (TransE, RotatE)
@@ -224,10 +229,13 @@ class InferenceEngine:
         self.recorder = TimingRecorder(registry=self.registry)
         self._result_cache_size = int(result_cache_size)
         self._results: "OrderedDict[tuple, Tuple[Prediction, ...]]" = OrderedDict()
-        # The result cache is mutated on every query; one lock makes the engine
-        # safe under the threading HTTP server (batching, not concurrency,
-        # is the throughput mechanism here).
+        # Guards the counters and the result cache, never a kernel.  Callers
+        # score concurrently, each in one of ``scoring_slots`` slots
+        # (max(1, cpus // blas_threads)), so their BLAS pools do not
+        # oversubscribe the cores and score memory stays at that many slabs.
         self._lock = threading.Lock()
+        self.scoring_slots = scoring_slots()
+        self._slots = threading.BoundedSemaphore(self.scoring_slots)
         self.queries_served = 0
         self.cache_hits = 0
         self.operators_built = 0
@@ -264,7 +272,9 @@ class InferenceEngine:
         return result
 
     def _store_result(self, key: tuple, result: Tuple[Prediction, ...]) -> None:
-        if self._result_cache_size == 0:
+        # A concurrent call may have stored this key from another grouping
+        # meanwhile; the first stored answer stays.
+        if self._result_cache_size == 0 or key in self._results:
             return
         self._results[key] = result
         if len(self._results) > self._result_cache_size:
@@ -320,15 +330,6 @@ class InferenceEngine:
         With ``filtered=True`` known positives are removed, so saturated
         queries may return fewer than ``top_k`` pairs.
         """
-        with self._lock:
-            return self._query_batch_locked(queries, top_k, filtered)
-
-    def _query_batch_locked(
-        self,
-        queries: Sequence[Union[Query, Sequence[object]]],
-        top_k: int,
-        filtered: bool,
-    ) -> List[List[Prediction]]:
         top_k = int(top_k)
         if top_k <= 0:
             raise ValueError("top_k must be positive")
@@ -336,33 +337,55 @@ class InferenceEngine:
             self._check_query(direction, entity, relation, filtered)
             for direction, entity, relation in queries
         ]
-        self.queries_served += len(normalized)
-        self._m_queries.inc(len(normalized))
-        self._m_batch_queries.observe(len(normalized))
-
         results: List[Optional[Tuple[Prediction, ...]]] = [None] * len(normalized)
         pending: Dict[Query, List[int]] = {}
-        for position, query in enumerate(normalized):
-            cached = self._cached_result((*query, top_k, filtered))
-            if cached is not None:
-                self.cache_hits += 1
-                self._m_cache_hits.inc()
-                results[position] = cached
-            else:
-                # Keyed by the full query, so duplicates within one batch are
-                # scored once and fanned out to every requesting position.
-                pending.setdefault(query, []).append(position)
+        hits = 0
+        with self._lock:
+            for position, query in enumerate(normalized):
+                cached = self._cached_result((*query, top_k, filtered))
+                if cached is not None:
+                    results[position] = cached
+                    hits += 1
+                else:
+                    # Keyed by the full query, so duplicates within one batch
+                    # are scored once and fanned out to every requesting position.
+                    pending.setdefault(query, []).append(position)
+            self.queries_served += len(normalized)
+            self.cache_hits += hits
+        self._m_queries.inc(len(normalized))
+        self._m_batch_queries.observe(len(normalized))
+        if hits:
+            self._m_cache_hits.inc(hits)
+        if pending:
+            # A cache hit never waits for a slot.
+            with self._slots:
+                self._answer_pending(pending, results, top_k, filtered)
+        return [list(result) for result in results]
 
+    def _answer_pending(
+        self,
+        pending: Dict[Query, List[int]],
+        results: List[Optional[Tuple[Prediction, ...]]],
+        top_k: int,
+        filtered: bool,
+    ) -> None:
+        """Score the uncached queries and fill their positions in ``results``.
+
+        Runs outside the engine lock, in one scoring slot; the lock is taken
+        only to count operators and store answers.
+        """
         # Order the unique queries by (direction, relation) group, then
         # process them in slabs of ``batch_size`` rows: scoring still runs
         # per group segment (one relation operator each), but top-k
         # selection sees a whole slab at once — essential when a batch
-        # spreads thinly over many relations.  Peak memory stays at
-        # batch_size x num_entities scores.
+        # spreads thinly over many relations.  One slab buffer serves every
+        # slab, so the call holds batch_size x num_entities scores at most.
         work_list = sorted(pending, key=lambda query: (query[0], query[2]))
+        buffer = np.empty((min(len(work_list), self.batch_size), self.num_entities))
         for slab_begin in range(0, len(work_list), self.batch_size):
             slab = work_list[slab_begin : slab_begin + self.batch_size]
-            scores = np.empty((len(slab), self.num_entities), dtype=np.float64)
+            scores = buffer[: len(slab)]
+            segments = 0
             segment_begin = 0
             while segment_begin < len(slab):
                 direction, _, relation = slab[segment_begin]
@@ -380,7 +403,7 @@ class InferenceEngine:
                 operator = self.scoring_function.relation_operator(
                     self.params, relation, direction
                 )
-                self.operators_built += 1
+                segments += 1
                 with self.recorder.measure("project"):
                     projection = operator.project(entities)
                 with self.recorder.measure("score"):
@@ -401,13 +424,16 @@ class InferenceEngine:
                 segment_begin = segment_end
             with self.recorder.measure("select"):
                 selected = select_predictions_batch(scores, top_k)
-                for query, (order, top_scores) in zip(slab, selected):
-                    answer = tuple(zip(order.tolist(), top_scores.tolist()))
+                answers = [
+                    tuple(zip(order.tolist(), top_scores.tolist()))
+                    for order, top_scores in selected
+                ]
+            with self._lock:
+                self.operators_built += segments
+                for query, answer in zip(slab, answers):
                     self._store_result((*query, top_k, filtered), answer)
                     for position in pending[query]:
                         results[position] = answer
-
-        return [list(result) for result in results]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -415,23 +441,24 @@ class InferenceEngine:
     def stats(self) -> Dict[str, object]:
         """Counters + per-phase timings for the serve endpoint's /stats.
 
-        Takes the engine lock: the result cache and the recorder are mutated by
-        concurrent query threads, and iterating them mid-query would race.
+        The counters are read together under the engine lock; the recorder
+        keeps its own lock, so the timings are read outside it.
         """
         with self._lock:
-            return self._stats_locked()
-
-    def _stats_locked(self) -> Dict[str, object]:
+            counters = {
+                "queries_served": self.queries_served,
+                "cache_hits": self.cache_hits,
+                "cached_results": len(self._results),
+                # There is no operator cache: every segment builds its operator,
+                # so this always reads zero hits (kept for /stats consumers).
+                "operator_cache": {"hits": 0, "misses": self.operators_built},
+            }
         return {
             "scoring_function": self.scoring_function.name,
             "num_entities": self.num_entities,
             "num_relations": self.num_relations,
-            "queries_served": self.queries_served,
-            "cache_hits": self.cache_hits,
-            "cached_results": len(self._results),
-            # There is no operator cache: every segment builds its operator,
-            # so this always reads zero hits (kept for /stats consumers).
-            "operator_cache": {"hits": 0, "misses": self.operators_built},
+            **counters,
+            "scoring_slots": self.scoring_slots,
             "params_bytes": int(
                 sum(array.nbytes for array in self.params.values())
             ),
@@ -479,9 +506,11 @@ class MicroBatcher:
 
     Exposes the same ``query_batch(queries, top_k, filtered)`` signature as
     the engine, so :func:`repro.serving.service.answer_queries` works with
-    either.  Group commit adds no waiting: a lone caller goes straight
-    through, and a queued one waits only for the engine call it would have
-    queued behind on the engine's lock anyway.  A combined call
+    either.  Group commit adds no waiting for a lone caller, who goes
+    straight through; a queued one waits for the leader's engine call.  One
+    leader runs at a time, so the batcher trades the engine's scoring slots
+    for wider groups: it uses one slot however many cores there are.  A
+    combined call
     that fails is retried per caller, so one request with an out-of-range
     entity cannot poison the answers of the calls it was coalesced with.
     """

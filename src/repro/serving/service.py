@@ -56,6 +56,7 @@ from repro.serving.engine import (
     MicroBatcher,
     load_filter_index,
 )
+from repro.utils.blas import blas_threads
 
 PathLike = Union[str, Path]
 
@@ -68,8 +69,8 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Most queries one ``/query`` request may carry (413 above it).  A body
 #: under ``MAX_BODY_BYTES`` could otherwise hold ~10^5 full-vocabulary
-#: queries and keep the engine lock for seconds; clients split larger
-#: batches across requests.
+#: queries and hold one of the engine's scoring slots for seconds; clients
+#: split larger batches across requests.
 MAX_QUERIES_PER_REQUEST = 1024
 
 #: Seconds a connection may sit in one socket read or write before the
@@ -642,6 +643,7 @@ class QueryHandler(BaseHTTPRequestHandler):
             stats["worker"] = {
                 "worker_id": self.server.worker_id,
                 "pid": os.getpid(),
+                "blas_threads": blas_threads(),
                 **process_memory_info(),
             }
             if batcher is not None:

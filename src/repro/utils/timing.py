@@ -10,10 +10,14 @@ a leaf trace span on the process-global tracer; a duration handed to
 ``evaluate`` phases) has no start time of its own and emits no span.  With
 the default null registry and null tracer those extra sinks are no-op
 method calls.
+
+A recorder is safe to share between threads: the serving engine's handler
+threads time their phases on one recorder concurrently.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
@@ -59,25 +63,25 @@ class TimingRecorder:
         self._phases: Dict[str, _Phase] = {}
         self.registry = registry if registry is not None else _metrics.get_registry()
         self._histograms: Dict[str, object] = {}
+        # Guards ``_phases`` and ``_histograms``; the histograms lock themselves.
+        self._lock = threading.Lock()
 
-    def _observe(self, name: str, seconds: float) -> None:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                PHASE_HISTOGRAM,
-                help="Per-phase wall-clock latency in seconds.",
-                labels={"phase": name},
-            )
-            self._histograms[name] = histogram
+    def _accumulate(self, name: str, seconds: float) -> None:
+        with self._lock:
+            phase = self._phases.get(name)
+            if phase is None:
+                phase = self._phases[name] = _Phase()
+            phase.count += 1
+            phase.total += seconds
+            phase.last = seconds
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = self.registry.histogram(
+                    PHASE_HISTOGRAM,
+                    help="Per-phase wall-clock latency in seconds.",
+                    labels={"phase": name},
+                )
         histogram.observe(seconds)
-
-    def _accumulate(self, name: str, count: int, total: float, last: float) -> None:
-        phase = self._phases.get(name)
-        if phase is None:
-            phase = self._phases[name] = _Phase()
-        phase.count += count
-        phase.total += total
-        phase.last = last
 
     @contextmanager
     def measure(self, name: str) -> Iterator[None]:
@@ -88,14 +92,11 @@ class TimingRecorder:
             yield
         finally:
             elapsed = time.monotonic() - start
-            self._accumulate(name, 1, elapsed, elapsed)
-            self._observe(name, elapsed)
+            self._accumulate(name, elapsed)
             _trace.get_tracer().record(name, start, elapsed)
 
     def add(self, name: str, seconds: float) -> None:
-        seconds = float(seconds)
-        self._accumulate(name, 1, seconds, seconds)
-        self._observe(name, seconds)
+        self._accumulate(name, float(seconds))
 
     def last(self, name: str) -> float:
         """The most recent sample recorded under ``name``.
@@ -124,12 +125,13 @@ class TimingRecorder:
         return sorted(self._phases)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Return ``{name: {total, mean, count}}`` for every recorded phase."""
-        return {
-            name: {
-                "total": self.total(name),
-                "mean": self.mean(name),
-                "count": self.count(name),
+        """Return ``{name: {total, mean, count}}`` for every recorded phase.
+
+        One consistent reading: no sample lands halfway through it.
+        """
+        with self._lock:
+            return {
+                name: {"total": phase.total, "mean": phase.total / phase.count,
+                       "count": phase.count}
+                for name, phase in sorted(self._phases.items())
             }
-            for name in self.names()
-        }

@@ -1,5 +1,6 @@
 """Tests for the versioned serving artifact (export / load round-trips)."""
 
+import mmap
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.serving import (
     export_artifact,
     load_artifact,
 )
-from repro.serving.artifact import PARAMS_DIRNAME, scoring_function_metadata
+from repro.serving.artifact import PARAMS_DIRNAME, _read_npy_private, scoring_function_metadata
 from repro.utils.config import TrainingConfig
 from repro.utils.serialization import from_json_file, to_json_file
 
@@ -115,6 +116,36 @@ class TestSchemaV2Layout:
         assert not artifact.params_memmap
         assert not isinstance(artifact.params["entities"], np.memmap)
         assert not artifact.params["entities"].flags.writeable
+        # Each table owns an anonymous mapping, freed to the OS with the array.
+        assert isinstance(artifact.params["entities"].base, mmap.mmap)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(12, dtype=np.float64).reshape(3, 4),
+            np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4)),
+            np.arange(24, dtype=np.int64).reshape(2, 3, 4),
+            np.zeros((0, 5)),
+            np.float64(2.5),
+        ],
+        ids=["c-order", "fortran-order", "3d-int", "empty", "scalar"],
+    )
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+    def test_private_reader_equals_np_load(self, tmp_path, array, version):
+        path = tmp_path / "array.npy"
+        with open(path, "wb") as handle:
+            np.lib.format.write_array(handle, np.asanyarray(array), version=version)
+        expected = np.load(path)
+        got = _read_npy_private(path)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.flags.f_contiguous == expected.flags.f_contiguous
+        np.testing.assert_array_equal(got, expected)
+
+    def test_truncated_param_file_rejected(self, artifact_dir):
+        path = artifact_dir / PARAMS_DIRNAME / "entities.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ArtifactError, match="not a valid .npy file"):
+            load_artifact(artifact_dir)
 
     def test_mmap_and_memory_scores_bit_identical(self, artifact_dir, tiny_graph):
         mapped = load_artifact(artifact_dir, mmap=True)

@@ -1,7 +1,13 @@
 """Tests for the batched inference engine: parity, filtering, caching, top-k."""
 
+import copy
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -16,12 +22,16 @@ from repro.kge.topk import (
 )
 from repro.core.search_space import random_structure
 from repro.serving import (
+    EngineReloader,
     InferenceEngine,
     MicroBatcher,
+    QueryServer,
     export_artifact,
     known_positive_index,
     load_artifact,
 )
+from repro.serving import engine as engine_module
+from repro.utils import blas
 from repro.utils.config import TrainingConfig
 
 FAMILIES = ["complex", "rescal", "transe", "rotate", "mlp"]
@@ -370,6 +380,308 @@ class TestSharedMemmapConcurrency:
         engine.query_batch([("tail", 0, 0)], top_k=3)
         with pytest.raises(ValueError):
             engine.params["entities"][0, 0] = 123.0
+
+
+class _ScoringProbe:
+    """A copy of a scoring function whose candidate passes are observed.
+
+    The engine scores through ``scoring_function.score_candidates_chunk``;
+    the probe counts the passes running at once, holds the passes of the
+    threads named in ``held`` (every thread when it is ``None``) until
+    ``release`` is set, and fails passes while ``fail`` is set.
+    """
+
+    def __init__(self, scoring_function, held=None):
+        self._inner = scoring_function.score_candidates_chunk
+        self.scoring_function = copy.copy(scoring_function)
+        self.scoring_function.score_candidates_chunk = self._score
+        self.held = held
+        self.release = threading.Event()
+        self.fail = threading.Event()
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.passes = 0
+
+    def _score(self, *args, **kwargs):
+        with self._lock:
+            self.active += 1
+            self.passes += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            if self.held is None or threading.current_thread().name in self.held:
+                assert self.release.wait(10), "probe never released"
+            if self.fail.is_set():
+                raise RuntimeError("scoring failed")
+            return self._inner(*args, **kwargs)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+def _start(target, name=None):
+    thread = threading.Thread(target=target, name=name, daemon=True)
+    thread.start()
+    return thread
+
+
+def _join(threads, timeout=30.0):
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), f"{thread.name} hung"
+
+
+def _bits(answers):
+    """Answers with every score as its exact bit pattern."""
+    return [[(entity, float(score).hex()) for entity, score in answer] for answer in answers]
+
+
+def _distinct_queries(graph, count):
+    queries = [
+        (direction, entity, relation)
+        for relation in range(graph.num_relations)
+        for entity in range(graph.num_entities)
+        for direction in ("tail", "head")
+    ]
+    return queries[:: max(1, len(queries) // count)][:count]
+
+
+@pytest.fixture()
+def slots(monkeypatch):
+    """Make engines built afterwards size themselves to ``count`` slots."""
+
+    def use(count):
+        monkeypatch.setattr(engine_module, "scoring_slots", lambda: count)
+
+    return use
+
+
+class TestConcurrentEngine:
+    """One engine under concurrent callers, against single-threaded replays.
+
+    Each thread owns disjoint query keys, so its answers, cache hits and
+    operator builds are those of its own call sequence replayed on a fresh
+    engine, whatever the interleaving.
+    """
+
+    @staticmethod
+    def call_sequence(queries):
+        """Filtered and unfiltered calls, fresh and cached, with duplicates."""
+        return [
+            (queries[0:6] + [queries[0], queries[3]], True),  # duplicates in a batch
+            (queries[0:6], False),                            # same keys, unfiltered
+            (queries[0:3] + queries[6:12], True),             # cached and fresh
+            (queries[0:12], True),                            # all cached
+            (queries[12:16] + queries[12:14], False),         # fresh, with duplicates
+            (queries[6:16], False),                           # cached and fresh
+        ]
+
+    @pytest.mark.parametrize("slot_count", [1, 2, 4])
+    def test_answers_and_counters_match_single_threaded_replays(
+        self, family_models, tiny_graph, slots, slot_count
+    ):
+        slots(slot_count)
+        model = family_models["complex"]
+        index = known_positive_index(tiny_graph)
+        threads = 4
+        queries = _distinct_queries(tiny_graph, 16 * threads)
+        sequences = [self.call_sequence(queries[k::threads]) for k in range(threads)]
+
+        def fresh_engine():
+            return InferenceEngine(model.scoring_function, model.params,
+                                   filter_index=index, batch_size=4)
+
+        expected, served, hits, built = [], 0, 0, 0
+        for sequence in sequences:
+            oracle = fresh_engine()
+            expected.append([_bits(oracle.query_batch(batch, top_k=5, filtered=filtered))
+                             for batch, filtered in sequence])
+            served += oracle.queries_served
+            hits += oracle.cache_hits
+            built += oracle.operators_built
+
+        engine = fresh_engine()
+        start = threading.Barrier(threads)
+        got = [None] * threads
+
+        def caller(k):
+            start.wait()
+            got[k] = [_bits(engine.query_batch(batch, top_k=5, filtered=filtered))
+                      for batch, filtered in sequences[k]]
+
+        _join([_start(lambda k=k: caller(k)) for k in range(threads)])
+        assert got == expected
+        stats = engine.stats()
+        assert stats["scoring_slots"] == slot_count
+        assert stats["queries_served"] == served
+        assert stats["cache_hits"] == hits > 0
+        # One build per (relation, direction) segment, as /stats has always read.
+        assert stats["operator_cache"] == {"hits": 0, "misses": built}
+
+    def test_first_stored_answer_wins(self, family_models, slots):
+        slots(2)
+        model = family_models["complex"]
+        probe = _ScoringProbe(model.scoring_function, held={"held"})
+        engine = InferenceEngine(probe.scoring_function, model.params)
+        query, key = ("tail", 0, 0), ("tail", 0, 0, 5, False)
+        late = {}
+        held = _start(lambda: late.update(answer=engine.query_batch([query, ("tail", 1, 0)], top_k=5)),
+                      name="held")
+        _wait_for(lambda: probe.active == 1)
+        # The held call missed first, but this one stores first, and stays.
+        first = engine.query_batch([query], top_k=5)
+        stored = engine._results[key]
+        probe.release.set()
+        _join([held])
+        assert engine._results[key] is stored
+        assert engine.query_batch([query], top_k=5) == first
+        assert engine.cache_hits == 1
+        # The held caller still gets the answer its own grouping scored.
+        alone = InferenceEngine(model.scoring_function, model.params, result_cache_size=0)
+        assert _bits(late["answer"]) == _bits(alone.query_batch([query, ("tail", 1, 0)], top_k=5))
+
+    def test_failures_release_the_lock_and_the_slot(self, family_models, slots):
+        slots(1)
+        model = family_models["complex"]
+        probe = _ScoringProbe(model.scoring_function)
+        probe.release.set()
+        engine = InferenceEngine(probe.scoring_function, model.params)
+        failures = []
+
+        def failing(queries):
+            try:
+                engine.query_batch(queries, top_k=5)
+            except (ValueError, RuntimeError) as error:
+                failures.append(type(error))
+
+        _join([_start(lambda: failing([("tail", 0, 0), ("tail", 10**6, 0)]))])
+        probe.fail.set()
+        _join([_start(lambda: failing([("tail", 2, 0)]))])
+        probe.fail.clear()
+        assert failures == [ValueError, RuntimeError]
+        # Neither failure kept the lock or the only slot: later calls go through.
+        answers = {}
+        _join([_start(lambda k=k: answers.update({k: engine.query_batch([("head", k, 1)])}))
+               for k in range(3)])
+        assert sorted(answers) == [0, 1, 2]
+        # A batch that fails validation counts no query; a failed pass does.
+        assert engine.queries_served == 1 + 3
+
+    @pytest.mark.parametrize("slot_count", [1, 2])
+    def test_at_most_the_slot_count_scores_at_once(self, family_models, slots, slot_count):
+        slots(slot_count)
+        model = family_models["complex"]
+        probe = _ScoringProbe(model.scoring_function)
+        engine = InferenceEngine(probe.scoring_function, model.params)
+        probe.release.set()
+        cached = engine.query_batch([("tail", 0, 0)], top_k=5)
+        probe.release.clear()
+        callers = [_start(lambda k=k: engine.query_batch([("tail", k + 1, 0)], top_k=5))
+                   for k in range(slot_count + 1)]
+        _wait_for(lambda: probe.active == slot_count)
+        time.sleep(0.1)
+        # The (S+1)-th caller waits for a slot; it has not started its pass.
+        assert probe.active == slot_count
+        assert probe.passes == 1 + slot_count
+        assert sum(thread.is_alive() for thread in callers) == slot_count + 1
+        # A cache hit is answered without a slot, while every slot is held.
+        hit = {}
+        hitter = _start(lambda: hit.update(answer=engine.query_batch([("tail", 0, 0)], top_k=5)))
+        hitter.join(5.0)
+        assert not hitter.is_alive() and probe.active == slot_count
+        assert hit["answer"] == cached
+        probe.release.set()
+        _join(callers)
+        assert probe.peak == slot_count
+        assert probe.passes == 1 + slot_count + 1
+
+    def test_reload_lets_calls_in_flight_finish_on_the_old_generation(
+        self, family_models, tiny_graph, tmp_path, slots
+    ):
+        slots(2)  # both calls in flight are inside a pass, not one queued for a slot
+        directories = [
+            export_artifact(family_models[name], tmp_path / f"gen-{generation}",
+                            graph=tiny_graph, generation=generation)
+            for generation, name in enumerate(("complex", "searched"))
+        ]
+        queries = [("tail", 3, 0), ("head", 5, 1)]
+        oracles = [
+            InferenceEngine.from_artifact(load_artifact(directory), result_cache_size=0)
+            for directory in directories
+        ]
+        expected = [_bits(oracle.query_batch(queries, top_k=5)) for oracle in oracles]
+        server = QueryServer(("127.0.0.1", 0), EngineReloader(directories[0], result_cache_size=0))
+        serving = _start(server.run)
+        port = server.server_address[1]
+        old = server.engine
+        probe = _ScoringProbe(old.scoring_function)
+        old.scoring_function = probe.scoring_function
+        got = {}
+
+        def client(k):
+            got[k] = _bits(_post_queries(port, queries))
+
+        try:
+            in_flight = [_start(lambda k=k: client(k)) for k in range(2)]
+            _wait_for(lambda: probe.active == 2)
+            server.reload(directories[1])
+            assert server.engine is not old
+            after = _bits(_post_queries(port, queries))
+            probe.release.set()
+            _join(in_flight)
+        finally:
+            probe.release.set()
+            server.shutdown()
+            _join([serving])
+            server.server_close()
+        assert got == {0: expected[0], 1: expected[0]}
+        assert after == expected[1] != expected[0]
+
+
+def _post_queries(port, queries, top_k=5):
+    connection = HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        body = {"queries": [{"direction": d, "entity": e, "relation": r, "top_k": top_k}
+                            for d, e, r in queries]}
+        connection.request("POST", "/query", body=json.dumps(body).encode("utf-8"))
+        response = connection.getresponse()
+        assert response.status == 200
+        decoded = json.loads(response.read())
+    finally:
+        connection.close()
+    return [[(p["entity"], p["score"]) for p in item["predictions"]]
+            for item in decoded["responses"]]
+
+
+class TestScoringSlots:
+    @pytest.mark.parametrize(
+        "cpus, threads, expected",
+        [(2, 1, 2), (2, 2, 1), (2, None, 1), (1, 4, 1), (8, 2, 4)],
+    )
+    def test_sizing(self, monkeypatch, cpus, threads, expected):
+        monkeypatch.setattr(blas, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(blas, "blas_threads", lambda: threads)
+        assert blas.scoring_slots() == expected
+
+    def test_blas_threads_reads_the_running_pool(self):
+        if blas.blas_threads() is None:
+            pytest.skip("numpy's BLAS does not report its thread count here")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        completed = subprocess.run(
+            [sys.executable, "-c", "from repro.utils.blas import blas_threads; print(blas_threads())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert completed.stdout.strip() == "1"
+
+    def test_engine_computes_its_slots_once(self, family_models, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine_module, "scoring_slots", lambda: calls.append(1) or 3)
+        model = family_models["complex"]
+        engine = InferenceEngine(model.scoring_function, model.params)
+        engine.query_batch([("tail", 0, 0), ("head", 1, 1)])
+        assert engine.stats()["scoring_slots"] == engine.scoring_slots == 3
+        assert calls == [1]
 
 
 class _GatedEngine:

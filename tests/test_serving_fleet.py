@@ -37,6 +37,7 @@ from repro.serving import (
 )
 from repro.serving.fleet import FILTER_INDEX_DIRNAME, MAX_WORKERS, prepare_filter_index
 from repro.serving.service import process_memory_info
+from repro.utils.blas import blas_threads, scoring_slots
 from repro.utils.config import ConfigError, TrainingConfig
 
 HOST = "127.0.0.1"
@@ -359,6 +360,8 @@ class TestListenerAdoption:
             status, stats = http_json(port, "GET", "/stats")
             assert status == 200
             assert stats["worker"]["worker_id"] == 3
+            assert stats["worker"]["blas_threads"] == blas_threads()
+            assert stats["scoring_slots"] == scoring_slots() >= 1
             assert stats["params_memmap"] is True
         finally:
             server.request_shutdown()

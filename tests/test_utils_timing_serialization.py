@@ -1,12 +1,14 @@
 """Tests for timing helpers and JSON serialization."""
 
+import sys
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.utils.serialization import from_json_file, to_json_file, to_json_string
 from repro.utils.timing import TimingRecorder
 
@@ -58,6 +60,58 @@ class TestTimingRecorder:
         count = recorder.summary()["a"]["count"]
         assert count == 2
         assert isinstance(count, int)
+
+    def test_concurrent_samples_are_counted_exactly(self):
+        """Handler threads time phases on one recorder: no sample may be lost,
+        and every summary is one consistent reading.
+
+        All threads record each round's phase for the first time together,
+        the moment an unlocked recorder creates a phase twice and drops one.
+        """
+        registry = MetricsRegistry()
+        recorder = TimingRecorder(registry=registry)
+        threads, rounds = 8, 3000
+        start_round = threading.Barrier(threads)
+        stop = threading.Event()
+        torn = []
+
+        def writer():
+            for round_index in range(rounds):
+                start_round.wait()
+                recorder.add(f"add{round_index}", 0.25)  # exact in binary
+                with recorder.measure(f"measure{round_index % 4}"):
+                    pass
+
+        def reader():
+            while not stop.is_set():
+                for phase in recorder.summary().values():
+                    if phase["total"] / phase["count"] != phase["mean"]:
+                        torn.append(phase)
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so races show
+        try:
+            watcher = threading.Thread(target=reader)
+            watcher.start()
+            workers = [threading.Thread(target=writer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            stop.set()
+            watcher.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == []
+        summary = recorder.summary()
+        adds = [summary[f"add{round_index}"] for round_index in range(rounds)]
+        assert [phase["count"] for phase in adds] == [threads] * rounds
+        assert all(phase["total"] == 0.25 * threads for phase in adds)
+        assert sum(summary[f"measure{index}"]["count"] for index in range(4)) == threads * rounds
+        exposition = render_prometheus(registry)
+        assert f'repro_phase_seconds_count{{phase="add0"}} {threads}' in exposition
+        assert f'repro_phase_seconds_count{{phase="measure0"}} {threads * rounds // 4}' in exposition
 
     def test_memory_stays_constant_over_many_samples(self):
         """A long-lived recorder (one per serving engine) must not grow per sample."""
